@@ -385,6 +385,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"Theorem 5 bound    : {sweep.theorem5_bound:.3f}")
     print(f"bound never exceeded: {sweep.bound_never_exceeded}")
     print(f"all consistent     : {sweep.all_consistent}")
+    if backend is not None and backend.name == "remote":
+        print(f"remote backend     : {backend.summary()}")
     if args.out:
         _write_sweep_json(args.out, config, list(seeds), sweep)
         print(f"sweep json         : {args.out}")

@@ -4,16 +4,29 @@
 :class:`~repro.exec.backend.ExecutionBackend` contract.  The
 coordinator keeps the whole campaign state -- a FIFO of unassigned
 task indices, one in-flight task per worker, per-task attempt counts
--- and drives it with three idempotent control ops against each worker
+-- and drives it with idempotent control ops against each worker
 (:mod:`repro.exec.worker`): ``submit`` a named task config (serialized
-by :mod:`repro.exec.taskcodec` over the PR-4 tagged-JSON codec),
-``poll`` until ``done``, collect the decoded result.
+by :mod:`repro.exec.taskcodec` over the PR-4 tagged-JSON codec), then
+block on the control socket until the worker *pushes* ``done`` with
+the result, and refill that worker at once.
+
+The push is an optimisation over an unchanged poll protocol.  A worker
+not heard from for ``poll_interval`` seconds -- its push was lost, its
+task is long, or it died -- is sent a ``poll``; the deadline is kept
+**per worker**, so pushes streaming in from healthy workers never
+postpone the poll that finds a dead one.  A ``done`` is believed only
+from the address a task is assigned to and only for this campaign's
+``nonce-index`` task id; anything else (a replay, a stale campaign, a
+stranger) is dropped.  One task in flight per worker and one task per
+datagram: a loopback control round trip is 0.1-0.2 ms against tasks of
+tens of milliseconds, so neither a deeper pipeline nor batching has
+anything left to hide (``docs/distributed.md``).
 
 Workers come from an explicit roster (``--workers host:port,...``),
 from the PR-6 rendezvous directory (registrations with
 ``kind="worker"``), or both.  **Worker death is survived, not
-avoided**: a worker that stops answering polls is dropped from the
-roster and its in-flight task is requeued at the *front* of the FIFO
+avoided**: a worker that stops answering is dropped from the roster
+and its in-flight task is requeued at the *front* of the FIFO
 (bounded by ``max_attempts``), so a kill -9 mid-sweep changes which
 socket computed a task but never the merged result -- tasks are
 self-seeding and the shared merge is by task index.
@@ -22,6 +35,11 @@ Task *errors* are different from worker *deaths*: a task that raises
 on a live worker raises :class:`RemoteTaskError` at the coordinator
 immediately (retrying a deterministic failure is pointless), exactly
 as an exception aborts the pool backend.
+
+``RemoteBackend.metrics`` counts what the loop did:
+``exec.remote.completions{via=push|poll}``, ``exec.remote.requeued``,
+``exec.remote.buried`` and the ``exec.remote.dispatch_latency_s``
+histogram (completion seen -> that worker's next ``submit`` accepted).
 """
 
 from __future__ import annotations
@@ -46,11 +64,12 @@ from repro.exec.registry import task_name
 from repro.exec.taskcodec import decode_task_value, encode_task_value
 from repro.net.control import ControlClient
 from repro.net.wire import Address, parse_hostport
+from repro.obs.metrics import MetricsRegistry
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Seconds between poll sweeps over the busy workers.
+#: Seconds a busy worker may stay silent before it is polled.
 DEFAULT_POLL_INTERVAL = 0.15
 
 #: Default bound on per-task attempts across worker deaths.
@@ -118,6 +137,16 @@ class RemoteBackend(ExecutionBackend):
         self.request_timeout = request_timeout
         self.request_retries = request_retries
         self._client: Optional[ControlClient] = None
+        self.metrics = MetricsRegistry()
+        self._m_done = {
+            via: self.metrics.counter("exec.remote.completions", via=via)
+            for via in ("push", "poll")
+        }
+        self._m_requeued = self.metrics.counter("exec.remote.requeued")
+        self._m_buried = self.metrics.counter("exec.remote.buried")
+        self._m_dispatch = self.metrics.histogram(
+            "exec.remote.dispatch_latency_s"
+        )
 
     # -- plumbing -------------------------------------------------------
 
@@ -150,7 +179,8 @@ class RemoteBackend(ExecutionBackend):
         self, fn: Callable[[T], R], tasks: Sequence[T]
     ) -> Iterator[Tuple[int, R]]:
         """Dispatch every task to some live worker, yielding results
-        as polls come back; requeue in-flight tasks of dead workers."""
+        as ``done`` pushes (or fallback polls) come back; requeue
+        in-flight tasks of dead workers."""
         total = len(tasks)
         if total == 0:
             return
@@ -162,13 +192,15 @@ class RemoteBackend(ExecutionBackend):
         nonce = os.urandom(4).hex()
         pending: "collections.deque[int]" = collections.deque(range(total))
         assigned: Dict[Address, int] = {}
+        #: When each assigned worker last answered anything.
+        heard: Dict[Address, float] = {}
+        #: Completion seen, refill not yet accepted (dispatch latency).
+        freed: Dict[Address, float] = {}
         attempts = [0] * total
         dead: List[Address] = []
         roster = self._live_roster(dead)
         while pending or assigned:
-            # Fill every idle worker (one in-flight task each: campaign
-            # tasks are long relative to a datagram round trip, so
-            # deeper per-worker queues would only slow requeueing).
+            # Fill every idle worker (one in-flight task each).
             for worker in list(roster):
                 if not pending:
                     break
@@ -189,9 +221,14 @@ class RemoteBackend(ExecutionBackend):
                     pending.appendleft(index)
                 elif reply.get("accepted"):
                     assigned[worker] = index
+                    heard[worker] = time.monotonic()
+                    if worker in freed:
+                        self._m_dispatch.observe(
+                            heard[worker] - freed.pop(worker)
+                        )
                 elif reply.get("busy"):
                     # Finishing someone else's task (or a stale one):
-                    # leave it in the roster, try again next sweep.
+                    # leave it in the roster, try again next round.
                     pending.appendleft(index)
                 elif reply.get("error"):
                     raise RemoteBackendError(
@@ -212,11 +249,36 @@ class RemoteBackend(ExecutionBackend):
                     )
                 time.sleep(self.poll_interval)
                 continue
-            time.sleep(self.poll_interval)
-            for worker, index in list(assigned.items()):
-                reply = client.try_request(
-                    worker, "poll", {"tid": f"{nonce}-{index}"}
-                )
+            # Block for a push, but only until the quietest assigned
+            # worker is due its liveness poll (already due: wait() just
+            # drains the inbox).
+            due = min(heard[w] for w in assigned) + self.poll_interval
+            push = client.wait(due - time.monotonic())
+            if push is None:
+                now = time.monotonic()
+                arrivals = [
+                    (worker, None)
+                    for worker in assigned
+                    if heard[worker] + self.poll_interval <= now
+                ]
+            else:
+                op, body, worker = push
+                index = assigned.get(worker)
+                if (
+                    op != "done"
+                    or index is None
+                    or body.get("tid") != f"{nonce}-{index}"
+                ):
+                    continue  # a replay, a stale campaign, a stranger
+                arrivals = [(worker, body)]
+            for worker, reply in arrivals:
+                index = assigned[worker]
+                via = "push"
+                if reply is None:  # overdue, not pushed: ask
+                    via = "poll"
+                    reply = client.try_request(
+                        worker, "poll", {"tid": f"{nonce}-{index}"}
+                    )
                 if reply is None:
                     # Worker death: requeue at the front so recovery
                     # happens before new work is taken on.
@@ -224,9 +286,12 @@ class RemoteBackend(ExecutionBackend):
                     self._bury(worker, roster, dead)
                     self._requeue(index, attempts, pending, worker)
                     continue
+                heard[worker] = time.monotonic()
                 state = reply.get("state")
                 if state == "done":
                     del assigned[worker]
+                    freed[worker] = heard[worker]
+                    self._m_done[via].inc()
                     yield index, decode_task_value(reply.get("result"))
                 elif state == "error":
                     raise RemoteTaskError(
@@ -240,19 +305,35 @@ class RemoteBackend(ExecutionBackend):
                     self._requeue(index, attempts, pending, worker)
                 # else "running": keep waiting.
 
+    def summary(self) -> str:
+        """One line on what the scheduling loop did so far."""
+        pushed = self._m_done["push"].value
+        polled = self._m_done["poll"].value
+        line = (
+            f"{pushed + polled} completions ({pushed} pushed, "
+            f"{polled} polled), {self._m_requeued.value} requeued, "
+            f"{self._m_buried.value} buried"
+        )
+        if self._m_dispatch.count:
+            line += (
+                f", dispatch p50 "
+                f"{self._m_dispatch.quantile(0.5) * 1000.0:.2f} ms"
+            )
+        return line
+
     # -- helpers --------------------------------------------------------
 
     def _live_roster(self, dead: List[Address]) -> List[Address]:
         return [w for w in self.roster() if w not in dead]
 
-    @staticmethod
     def _bury(
-        worker: Address, roster: List[Address], dead: List[Address]
+        self, worker: Address, roster: List[Address], dead: List[Address]
     ) -> None:
         if worker in roster:
             roster.remove(worker)
         if worker not in dead:
             dead.append(worker)
+            self._m_buried.inc()
 
     def _requeue(
         self,
@@ -268,6 +349,7 @@ class RemoteBackend(ExecutionBackend):
                 f"(last: {worker[0]}:{worker[1]}; max_attempts="
                 f"{self.max_attempts})"
             )
+        self._m_requeued.inc()
         pending.appendleft(index)
 
 

@@ -19,14 +19,25 @@ poll       ``tid``                                     ``state`` =
 status     --                                          roster row
 ping       --                                          ``ok``
 stop       --                                          ``ok`` (exits)
+*done*     ``tid`` + a ``poll`` response's fields      none: worker ->
+                                                       coordinator
 =========  ==========================================  ================
+
+``done`` is the one frame a worker sends unasked: once, when a task
+finishes, to the address its ``submit`` came from -- *after* the
+result is cached and the slot is free, so the coordinator's refill
+``submit`` cannot bounce ``busy``.  The push is an optimisation, never
+the protocol: nobody acknowledges or retransmits it, and a lost one
+costs the coordinator one ``poll``.
 
 Determinism and loss tolerance come from idempotence, not ordering:
 ``submit`` dedupes by task id (a retried datagram is re-acknowledged,
 never re-run), finished results are kept in a bounded cache so a lost
 ``poll`` response costs one retry, and tasks are self-seeding so a
 coordinator that re-queues an in-flight task to another worker gets
-the byte-identical result.
+the byte-identical result.  A result too large for one datagram is
+stored as a task *error* (``OversizedMessageError``): the coordinator
+fails the campaign deterministically and the worker lives.
 
 With ``--rendezvous`` the worker announces itself (``kind="worker"``,
 never an S-node) to the PR-6 bootstrap directory, which is how
@@ -39,6 +50,7 @@ alongside cluster daemons.  On startup the daemon prints::
 from __future__ import annotations
 
 import collections
+import functools
 import queue
 import socket
 import threading
@@ -48,19 +60,16 @@ from typing import Any, Dict, Optional, Tuple
 from repro.exec.registry import resolve_task
 from repro.exec.taskcodec import decode_task_value, encode_task_value
 from repro.ids.idspace import IdSpace
-from repro.net.wire import (
-    Address,
-    CTL,
-    ctl_frame,
-    decode_frame,
-    encode_frame,
-    node_id_to_wire,
-    rsp_frame,
-)
-from repro.runtime.codec import CodecError
+from repro.net.control import serve_control_datagram
+from repro.net.wire import Address, ctl_frame, encode_frame, node_id_to_wire
 
 #: Finished results kept for re-polls (bounded; oldest evicted).
 MAX_CACHED_RESULTS = 128
+
+#: A task error's message is cut, and a task id refused, past these:
+#: an error entry must itself fit a datagram.
+MAX_ERROR_CHARS = 2000
+MAX_TID_CHARS = 200
 
 #: Seconds between rendezvous re-announcements.
 DEFAULT_ANNOUNCE_INTERVAL = 15.0
@@ -90,10 +99,12 @@ class WorkerDaemon:
         self.worker_id = None
         self.tasks_done = 0
         self.tasks_failed = 0
+        self.pushes_sent = 0
         self._sock: Optional[socket.socket] = None
-        self._queue: "queue.Queue[Optional[Tuple[str, str, Any]]]" = (
-            queue.Queue()
-        )
+        # (tid, fn name, encoded task, where to push ``done``).
+        self._queue: (
+            "queue.Queue[Optional[Tuple[str, str, Any, Optional[Address]]]]"
+        ) = queue.Queue()
         self._results: "collections.OrderedDict[str, Dict[str, Any]]" = (
             collections.OrderedDict()
         )
@@ -172,24 +183,28 @@ class WorkerDaemon:
     # -- datagram glue --------------------------------------------------
 
     def _on_datagram(self, data: bytes, addr: Address) -> None:
-        try:
-            frame = decode_frame(data)
-            if frame.get("k") != CTL:
-                return  # e.g. rendezvous announce responses
-            response = self.handle(frame["op"], frame.get("b") or {}, addr)
-        except (CodecError, KeyError, TypeError, ValueError):
-            return  # garbage or half-spoken protocol: ignore
-        if response is not None and self._sock is not None:
-            self._sock.sendto(
-                encode_frame(rsp_frame(frame["r"], response)), addr
-            )
+        reply = serve_control_datagram(
+            data, functools.partial(self.handle, reachable=True), addr
+        )
+        if reply is not None and self._sock is not None:
+            self._sock.sendto(reply, addr)
 
     # -- control ops ----------------------------------------------------
 
     def handle(
-        self, op: str, body: Dict[str, Any], addr: Address
+        self,
+        op: str,
+        body: Dict[str, Any],
+        addr: Address,
+        reachable: bool = False,
     ) -> Optional[Dict[str, Any]]:
-        """Process one control op; returns the response body."""
+        """Process one control op; returns the response body.
+
+        ``reachable`` says ``addr`` is a datagram's source as
+        ``recvfrom`` reported it (only the serve loop sets it): a
+        ``submit`` remembers just such addresses for its ``done``
+        push, so a made-up one is never resolved on the task thread.
+        """
         if op == "hello":
             return {
                 "ok": True,
@@ -198,7 +213,7 @@ class WorkerDaemon:
                 "busy": self._current is not None,
             }
         if op == "submit":
-            return self._handle_submit(body)
+            return self._handle_submit(body, addr if reachable else None)
         if op == "poll":
             return self._handle_poll(body)
         if op == "status":
@@ -210,15 +225,19 @@ class WorkerDaemon:
             return {"ok": True}
         return {"error": f"unknown op: {op}"}
 
-    def _handle_submit(self, body: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_submit(
+        self, body: Dict[str, Any], origin: Optional[Address]
+    ) -> Dict[str, Any]:
         tid = str(body["tid"])
+        if len(tid) > MAX_TID_CHARS:
+            return {"error": "tid too long"}  # it rides in every reply
         with self._lock:
             if tid == self._current or tid in self._results:
                 return {"accepted": True}  # duplicate datagram: re-ack
             if self._current is not None:
                 return {"busy": True}
             self._current = tid
-        self._queue.put((tid, str(body["fn"]), body.get("task")))
+        self._queue.put((tid, str(body["fn"]), body.get("task"), origin))
         return {"accepted": True}
 
     def _handle_poll(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -241,6 +260,7 @@ class WorkerDaemon:
             "now": round(time.monotonic() - self._started_at, 3),
             "tasks_done": self.tasks_done,
             "tasks_failed": self.tasks_failed,
+            "pushes_sent": self.pushes_sent,
             "telemetry": False,
         }
 
@@ -251,7 +271,7 @@ class WorkerDaemon:
             item = self._queue.get()
             if item is None:
                 return
-            tid, fn_name, task_obj = item
+            tid, fn_name, task_obj, origin = item
             try:
                 fn = resolve_task(fn_name)
                 task = decode_task_value(task_obj)
@@ -259,11 +279,19 @@ class WorkerDaemon:
                     "state": "done",
                     "result": encode_task_value(fn(task)),
                 }
+                # Encoded once: the bytes of the push, and the size
+                # check every later ``poll`` response relies on (an
+                # OversizedMessageError here is reported like any
+                # other task failure).
+                push = self._done_frame(tid, entry)
             except Exception as exc:  # noqa: BLE001 - reported to coordinator
                 entry = {
                     "state": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
+                    "error": f"{type(exc).__name__}: {exc}"[
+                        :MAX_ERROR_CHARS
+                    ],
                 }
+                push = self._done_frame(tid, entry)
             with self._lock:
                 self._results[tid] = entry
                 while len(self._results) > MAX_CACHED_RESULTS:
@@ -273,6 +301,27 @@ class WorkerDaemon:
                 else:
                     self.tasks_failed += 1
                 self._current = None
+            if origin is not None:
+                self._push(push, origin)
+
+    @staticmethod
+    def _done_frame(tid: str, entry: Dict[str, Any]) -> bytes:
+        """The ``done`` push for a finished task (request id 0: no
+        response is expected).  Raises ``OversizedMessageError`` for a
+        result no datagram can carry; a ``poll`` response is the same
+        entry under a smaller envelope, so what fits here fits there."""
+        return encode_frame(ctl_frame(0, "done", {"tid": tid, **entry}))
+
+    def _push(self, data: bytes, origin: Address) -> None:
+        """Fire-and-forget: the result is already cached for ``poll``."""
+        sock = self._sock
+        if sock is None:
+            return
+        try:
+            sock.sendto(data, origin)
+        except OSError:  # pragma: no cover - origin unreachable
+            return
+        self.pushes_sent += 1
 
     # -- rendezvous -----------------------------------------------------
 

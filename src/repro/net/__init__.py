@@ -14,7 +14,8 @@ exchanging real datagrams:
   OS process with a UDP control protocol.
 * :mod:`repro.net.rendezvous` -- ``repro rendezvous``, the bootstrap
   directory.
-* :mod:`repro.net.control` -- blocking control-protocol client.
+* :mod:`repro.net.control` -- blocking control-protocol client and
+  the sans-io response helper every op server shares.
 * :mod:`repro.net.cluster` -- ``repro cluster``, the multi-process
   join experiment with live Definition 3.8 / Theorem 3 verification.
 * :mod:`repro.net.collect` -- telemetry collector: clock-aligns and

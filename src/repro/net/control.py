@@ -1,26 +1,88 @@
-"""Synchronous control-protocol client.
+"""The control protocol's two ends: a blocking client, a sans-io server.
 
 The cluster harness, the CLI and the tests live *outside* any runtime
 loop; they need plain blocking request/response against node daemons
 and the rendezvous service.  :class:`ControlClient` is that: one UDP
 socket, a request id counter, per-request timeout with retries
 (control requests are idempotent reads or idempotent commands, so
-retrying is safe), and response matching by request id.
+retrying is safe), and response matching by request id.  ``c``-frames
+nobody asked for -- a worker's ``done`` push -- are not discarded
+while a request is in flight: they queue in a small bounded inbox that
+:meth:`ControlClient.wait` drains.
+
+The server side is one pair of functions every op server shares (the
+rendezvous directory, the sweep worker, the node daemon's transport):
+:func:`control_reply` turns a decoded ``c`` frame plus a
+``handle(op, body, addr)`` callable into the encoded ``r`` datagram,
+and :func:`serve_control_datagram` does the same from raw bytes,
+ignoring garbage.  A response that would not fit one datagram becomes
+``{"error": "response too large"}`` rather than an exception in a
+serve loop or an asyncio callback.
 """
 
 from __future__ import annotations
 
+import collections
 import socket
-from typing import Any, Dict, Optional
+import time
+from typing import Any, Callable, Deque, Dict, Iterator, Optional, Tuple
 
 from repro.net.wire import (
     Address,
+    CTL,
     RSP,
     ctl_frame,
     decode_frame,
     encode_frame,
+    rsp_frame,
 )
-from repro.runtime.codec import CodecError
+from repro.runtime.codec import CodecError, OversizedMessageError
+
+#: ``handle(op, body, addr)`` -> response body (``None``: no response).
+ControlHandler = Callable[
+    [str, Dict[str, Any], Address], Optional[Dict[str, Any]]
+]
+
+#: An unsolicited control frame as ``(op, body, source address)``.
+Unsolicited = Tuple[str, Dict[str, Any], Address]
+
+#: Unsolicited frames kept while nobody is in :meth:`ControlClient.wait`
+#: (oldest dropped first; every push has an idempotent poll behind it).
+MAX_INBOX = 256
+
+
+def control_reply(
+    frame: Dict[str, Any], handle: ControlHandler, addr: Address
+) -> Optional[bytes]:
+    """The encoded response to one decoded frame, or ``None`` when
+    there is nothing to send (not a request, or ``handle`` declined).
+
+    A half-spoken request (no ``op``/``r``) raises ``KeyError``, and
+    whatever ``handle`` raises passes through: what counts as garbage
+    is the caller's policy.
+    """
+    if frame.get("k") != CTL:
+        return None  # e.g. the response to a fire-and-forget announce
+    op, rid = frame["op"], frame["r"]  # half-spoken: before any effect
+    response = handle(op, frame.get("b") or {}, addr)
+    if response is None:
+        return None
+    try:
+        return encode_frame(rsp_frame(rid, response))
+    except OversizedMessageError:
+        return encode_frame(rsp_frame(rid, {"error": "response too large"}))
+
+
+def serve_control_datagram(
+    data: bytes, handle: ControlHandler, addr: Address
+) -> Optional[bytes]:
+    """:func:`control_reply` from raw bytes; undecodable or
+    half-spoken datagrams are ignored (a serve loop must not die of
+    what arrives on its socket)."""
+    try:
+        return control_reply(decode_frame(data), handle, addr)
+    except (CodecError, KeyError, TypeError, ValueError):
+        return None
 
 
 class ControlError(RuntimeError):
@@ -28,7 +90,8 @@ class ControlError(RuntimeError):
 
 
 class ControlClient:
-    """Blocking UDP control requests with retries."""
+    """Blocking UDP control requests with retries, plus an inbox for
+    the ``c``-frames peers send unasked."""
 
     def __init__(self, timeout: float = 1.0, retries: int = 5):
         self.timeout = timeout
@@ -36,6 +99,7 @@ class ControlClient:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(("127.0.0.1", 0))
         self._next_rid = 1
+        self._inbox: Deque[Unsolicited] = collections.deque(maxlen=MAX_INBOX)
 
     def close(self) -> None:
         """Release the client socket."""
@@ -46,6 +110,29 @@ class ControlClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _frames(
+        self, deadline: float
+    ) -> Iterator[Tuple[Dict[str, Any], Address]]:
+        """Decodable frames and their sources as they arrive, until
+        ``deadline`` (``time.monotonic()``) has passed."""
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            self._sock.settimeout(remaining)
+            try:
+                raw, src = self._sock.recvfrom(65535)
+                frame = decode_frame(raw)
+            except socket.timeout:
+                return
+            except CodecError:
+                continue
+            yield frame, (src[0], src[1])
+
+    @staticmethod
+    def _unsolicited(frame: Dict[str, Any], src: Address) -> Unsolicited:
+        return (str(frame.get("op")), frame.get("b") or {}, src)
 
     def request(
         self,
@@ -62,20 +149,15 @@ class ControlClient:
         per_try = timeout if timeout is not None else self.timeout
         for _ in range(self.retries + 1):
             self._sock.sendto(data, addr)
-            self._sock.settimeout(per_try)
-            try:
-                while True:
-                    raw, _src = self._sock.recvfrom(65535)
-                    try:
-                        frame = decode_frame(raw)
-                    except CodecError:
-                        continue
-                    if frame.get("k") == RSP and frame.get("r") == rid:
-                        return frame.get("b") or {}
-                    # A stale response to an earlier (retried) request:
-                    # keep listening within this try's window.
-            except socket.timeout:
-                continue
+            # One deadline per try: unrelated datagrams (stale
+            # responses, other peers' pushes) must not extend it.
+            for frame, src in self._frames(time.monotonic() + per_try):
+                if frame.get("k") == RSP and frame.get("r") == rid:
+                    return frame.get("b") or {}
+                if frame.get("k") == CTL:
+                    self._inbox.append(self._unsolicited(frame, src))
+                # Else a stale response to an earlier (retried)
+                # request: keep listening within this try's window.
         raise ControlError(f"no response to {op!r} from {addr}")
 
     def try_request(
@@ -91,5 +173,24 @@ class ControlClient:
         except ControlError:
             return None
 
+    def wait(self, timeout: float) -> Optional[Unsolicited]:
+        """The next unsolicited ``c``-frame as ``(op, body, source)``:
+        from the inbox if one arrived during a :meth:`request`, else
+        off the socket within ``timeout`` seconds; ``None`` on timeout.
+        Nothing is sent back -- the frame's meaning is the caller's."""
+        if self._inbox:
+            return self._inbox.popleft()
+        for frame, src in self._frames(time.monotonic() + timeout):
+            if frame.get("k") == CTL:
+                return self._unsolicited(frame, src)
+        return None
 
-__all__ = ["ControlClient", "ControlError"]
+
+__all__ = [
+    "ControlClient",
+    "ControlError",
+    "ControlHandler",
+    "MAX_INBOX",
+    "control_reply",
+    "serve_control_datagram",
+]

@@ -61,6 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
 from repro.ids.digits import NodeId
 from repro.network.message import Message
 from repro.network.stats import MessageStats
+from repro.net.control import control_reply
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.wire import (
     ACK,
@@ -75,7 +76,6 @@ from repro.net.wire import (
     frame_message,
     msg_frame,
     node_id_to_wire,
-    rsp_frame,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -690,11 +690,9 @@ class DatagramTransport:
         handler = self.on_control
         if handler is None:
             return
-        response = handler(frame["op"], frame.get("b") or {}, addr)
-        if response is not None:
-            self._send_control_raw(
-                encode_frame(rsp_frame(frame["r"], response)), addr
-            )
+        reply = control_reply(frame, handler, addr)
+        if reply is not None:
+            self._send_control_raw(reply, addr)
 
     def _on_rsp_frame(self, frame: dict) -> None:
         ctl = self._pending_ctl.pop(frame["r"], None)

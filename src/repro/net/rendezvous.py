@@ -45,16 +45,8 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ids.digits import NodeId
-from repro.net.wire import (
-    Address,
-    CTL,
-    decode_frame,
-    encode_frame,
-    node_id_from_wire,
-    node_id_to_wire,
-    rsp_frame,
-)
-from repro.runtime.codec import CodecError
+from repro.net.control import serve_control_datagram
+from repro.net.wire import Address, node_id_from_wire, node_id_to_wire
 
 #: Announcements older than this (seconds) are expired on read.
 DEFAULT_TTL = 60.0
@@ -138,19 +130,9 @@ class RendezvousServer:
     # -- request handling ----------------------------------------------
 
     def _on_datagram(self, data: bytes, addr: Address) -> None:
-        try:
-            frame = decode_frame(data)
-            if frame["k"] != CTL:
-                return
-            response = self.handle(
-                frame["op"], frame.get("b") or {}, addr
-            )
-        except (CodecError, KeyError, TypeError, ValueError):
-            return  # garbage or half-spoken protocol: ignore
-        if response is not None and self._endpoint is not None:
-            self._endpoint.sendto(
-                encode_frame(rsp_frame(frame["r"], response)), addr
-            )
+        reply = serve_control_datagram(data, self.handle, addr)
+        if reply is not None and self._endpoint is not None:
+            self._endpoint.sendto(reply, addr)
 
     def handle(
         self, op: str, body: Dict[str, Any], addr: Address

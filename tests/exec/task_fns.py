@@ -52,3 +52,15 @@ def sleepy_double(x):
     kill the hosting worker mid-task."""
     time.sleep(0.3)
     return 2 * x
+
+
+def brief_double(x):
+    """``2 * x`` after 20 ms -- a task short against every poll
+    interval the push-path tests use, long against a datagram."""
+    time.sleep(0.02)
+    return 2 * x
+
+
+def big_string(n):
+    """``n`` characters -- past 65507 it cannot ride in one datagram."""
+    return "x" * n

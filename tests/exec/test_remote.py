@@ -26,21 +26,30 @@ from repro.exec.remote import (
 )
 from repro.exec.taskcodec import decode_task_value, encode_task_value
 from repro.exec.worker import WorkerDaemon
-from tests.exec.task_fns import boom, double, sleepy_double
+from repro.net.control import ControlClient
+from repro.net.wire import ctl_frame, encode_frame
+from tests.exec.task_fns import (
+    big_string,
+    boom,
+    brief_double,
+    double,
+    sleepy_double,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
 def fleet():
-    """Start in-process worker daemons; yields the starter, cleans up
-    every daemon afterwards."""
+    """Start in-process worker daemons; yields the starter (its
+    ``daemons`` attribute lists them in start order), cleans up every
+    daemon afterwards."""
     daemons = []
 
-    def start(count=2, rendezvous=None):
+    def start(count=2, rendezvous=None, cls=WorkerDaemon):
         addrs = []
         for _ in range(count):
-            daemon = WorkerDaemon(
+            daemon = cls(
                 ("127.0.0.1", 0),
                 rendezvous=rendezvous,
                 announce_interval=0.2,
@@ -49,9 +58,11 @@ def fleet():
             thread = threading.Thread(target=daemon.serve, daemon=True)
             thread.start()
             daemons.append((daemon, thread))
+            start.daemons.append(daemon)
             addrs.append(addr)
         return addrs
 
+    start.daemons = []
     yield start
     for daemon, thread in daemons:
         daemon.stop()
@@ -156,6 +167,35 @@ class TestWorkerDaemon:
         assert status["kind"] == "worker"
         assert status["status"] == "wrk-idle"
         assert status["s"] is False
+        assert status["pushes_sent"] == 0
+
+    def test_made_up_origin_is_never_pushed_to(self):
+        """``("c", 1)`` did not come from ``recvfrom``: pushing to it
+        would resolve the name "c" on the task thread."""
+        pushed = []
+        self.daemon._push = lambda data, origin: pushed.append(origin)
+        assert self.submit("t1", 1)["accepted"]
+        assert self.poll_until_done("t1")["state"] == "done"
+        assert pushed == []
+
+    def test_oversized_result_is_a_task_error_not_a_crash(self):
+        self.daemon.handle(
+            "submit",
+            {
+                "tid": "big",
+                "fn": "tests.exec.task_fns:big_string",
+                "task": encode_task_value(70_000),
+            },
+            ("c", 1),
+        )
+        reply = self.poll_until_done("big")
+        assert reply["state"] == "error"
+        assert reply["error"].startswith("OversizedMessageError")
+        assert self.daemon.tasks_failed == 1
+        assert self.submit("next", 4)["accepted"]
+
+    def test_overlong_tid_is_refused(self):
+        assert "error" in self.submit("t" * 1000, 1)
 
 
 class TestRemoteBackendInProcess:
@@ -228,6 +268,185 @@ class TestRemoteBackendInProcess:
         assert discover_workers(FakeClient(), ("127.0.0.1", 9)) == [
             ("127.0.0.1", 3)
         ]
+
+
+class BlackHole(WorkerDaemon):
+    """Accepts one ``submit``, answers it, then never speaks again:
+    the serve loop exits but the socket stays bound, so datagrams are
+    swallowed rather than refused."""
+
+    def handle(self, op, body, addr, reachable=False):
+        """Like a worker whose host froze right after the accept."""
+        reply = super().handle(op, body, addr, reachable=False)
+        if op == "submit":
+            self.stop()
+        return reply
+
+
+class TestPushPath:
+    """Completions are pushed; ``poll`` is the liveness fallback."""
+
+    def test_progress_is_push_driven(self, fleet):
+        addrs = fleet(count=2)
+        tasks = list(range(8))
+        with RemoteBackend(workers=addrs, poll_interval=5.0) as backend:
+            started = time.monotonic()
+            assert backend.map(brief_double, tasks) == [2 * t for t in tasks]
+            # Four rounds of 20 ms; one poll sweep alone would be 5 s.
+            assert time.monotonic() - started < 1.5
+            metrics = backend.metrics
+            assert metrics.value("exec.remote.completions", via="push") == 8
+            assert metrics.value("exec.remote.completions", via="poll") == 0
+            assert metrics.histogram(
+                "exec.remote.dispatch_latency_s"
+            ).count == 6  # every refill after a completion
+            assert "8 pushed, 0 polled" in backend.summary()
+        with ControlClient(timeout=1.0, retries=1) as client:
+            # A worker counts a push just after sending it, so the
+            # last one may still be uncounted when its result is here.
+            deadline = time.monotonic() + 2.0
+            sent = 0
+            while sent != 8 and time.monotonic() < deadline:
+                sent = sum(
+                    client.request(addr, "status")["pushes_sent"]
+                    for addr in addrs
+                )
+        assert sent == 8
+
+    def test_push_during_a_submit_round_trip_is_not_lost(self, fleet):
+        """Instant tasks: a worker's ``done`` reaches the coordinator
+        while it is still mid-``submit`` with the other worker."""
+        addrs = fleet(count=2)
+        tasks = list(range(40))
+        with RemoteBackend(workers=addrs, poll_interval=5.0) as backend:
+            started = time.monotonic()
+            assert backend.map(double, tasks) == [2 * t for t in tasks]
+            assert time.monotonic() - started < 2.0
+            assert (
+                backend.metrics.value("exec.remote.completions", via="poll")
+                == 0
+            )
+
+    def test_lost_pushes_fall_back_to_poll(self, fleet):
+        addrs = fleet(count=2)
+        fleet.daemons[0]._push = lambda data, origin: None
+        tasks = list(range(8))
+        with RemoteBackend(workers=addrs, poll_interval=0.03) as backend:
+            assert backend.map(brief_double, tasks) == [2 * t for t in tasks]
+            metrics = backend.metrics
+            pushed = metrics.value("exec.remote.completions", via="push")
+            polled = metrics.value("exec.remote.completions", via="poll")
+        assert pushed > 0 and polled > 0 and pushed + polled == 8
+
+    def test_forged_stale_and_replayed_done_frames_are_ignored(
+        self, fleet, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.exec.remote.os.urandom", lambda n: b"\x00" * n
+        )
+        addrs = fleet(count=1)
+        worker = fleet.daemons[0]._sock
+        stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        stranger.bind(("127.0.0.1", 0))
+
+        def done(tid, value):
+            return encode_frame(
+                ctl_frame(
+                    0,
+                    "done",
+                    {
+                        "tid": tid,
+                        "state": "done",
+                        "result": encode_task_value(value),
+                    },
+                )
+            )
+
+        tasks = [1, 2, 3]
+        try:
+            with RemoteBackend(workers=addrs, poll_interval=0.05) as backend:
+                coordinator = backend._control()._sock.getsockname()
+                # Queued before the campaign starts: the right task id
+                # from an unassigned source, and a stale campaign's id.
+                stranger.sendto(done("00000000-0", 999), coordinator)
+                stranger.sendto(done("deadbeef-0", 999), coordinator)
+                seen = []
+                for index, result in backend.completions(
+                    brief_double, tasks
+                ):
+                    seen.append((index, result))
+                    # From the assigned worker's own socket: a replay
+                    # of what just completed, and a stale campaign.
+                    worker.sendto(done(f"00000000-{index}", 777), coordinator)
+                    worker.sendto(done(f"deadbeef-{index}", 777), coordinator)
+            assert seen == [(0, 2), (1, 4), (2, 6)]
+        finally:
+            stranger.close()
+
+    def test_pushes_do_not_starve_liveness(self, fleet):
+        """One black-holed worker, two pushing every 20 ms: the poll
+        deadline is per worker, so the dead one is found on time and
+        its task goes back to the *front* of the queue."""
+        dead = fleet(count=1, cls=BlackHole)
+        live = fleet(count=2)
+        tasks = list(range(60))  # ~0.6 s of pushes from the live two
+        poll_interval = 0.1
+        backend = RemoteBackend(
+            workers=dead + live,
+            poll_interval=poll_interval,
+            request_timeout=0.05,
+            request_retries=0,
+        )
+        finished = {}
+        with backend:
+            started = time.monotonic()
+            order = []
+            for index, result in backend.completions(brief_double, tasks):
+                assert result == 2 * index
+                order.append(index)
+                finished[index] = time.monotonic() - started
+            metrics = backend.metrics
+            assert metrics.value("exec.remote.buried") == 1
+            assert metrics.value("exec.remote.requeued") == 1
+        assert sorted(order) == tasks
+        # Task 0 went to the black hole.  Found dead at one interval
+        # plus one request timeout, rerun next: long before the live
+        # workers' pushes dry up (when a starved poll would fire).
+        assert finished[0] < 2 * poll_interval + 0.2
+        assert order.index(0) < len(order) - 20
+
+
+class TestSweepCli:
+    def test_remote_sweep_prints_the_scheduling_summary(
+        self, fleet, capsys, tmp_path
+    ):
+        """...and the archived JSON stays what the inline sweep writes."""
+        from repro.cli import main
+
+        addrs = fleet(count=2)
+        sweep = ["sweep", "--seeds", "3", "--n", "40", "--m", "10"]
+        remote_out = str(tmp_path / "remote.json")
+        inline_out = str(tmp_path / "inline.json")
+        workers = ",".join(f"{host}:{port}" for host, port in addrs)
+        assert main(sweep + ["--workers", workers, "--out", remote_out]) == 0
+        out = capsys.readouterr().out
+        assert "remote backend     : 3 completions (" in out
+        assert main(sweep + ["--backend", "inline", "--out", inline_out]) == 0
+        assert "remote backend" not in capsys.readouterr().out
+        assert Path(remote_out).read_bytes() == Path(inline_out).read_bytes()
+
+
+class TestOversizedResult:
+    def test_fleet_survives_a_result_no_datagram_can_carry(self, fleet):
+        """Used to kill each worker in turn on its first ``poll``."""
+        addrs = fleet(count=2)
+        with RemoteBackend(workers=addrs, poll_interval=0.02) as backend:
+            with pytest.raises(RemoteTaskError, match="OversizedMessageError"):
+                backend.map(big_string, [70_000])
+            assert backend.metrics.value("exec.remote.buried") == 0
+        with ControlClient(timeout=1.0, retries=1) as client:
+            for addr in addrs:
+                assert client.request(addr, "ping") == {"ok": True}
 
 
 class TestRemoteAcceptance:

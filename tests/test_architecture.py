@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 from typing import Dict, Iterator, Optional, Set
@@ -180,3 +181,19 @@ class TestSansIoCore:
         transport = Transport(create_runtime("sim"), ConstantLatencyModel())
         assert not hasattr(transport, "simulator")
         assert transport.runtime is not None
+
+
+class TestOneControlServer:
+    def test_only_net_control_builds_control_responses(self):
+        """The decode -> handle -> ``rsp_frame`` -> encode block lives
+        once, in :func:`repro.net.control.control_reply` (with the
+        oversize guard); an op server that builds its own response
+        frame has hand-copied it again."""
+        allowed = {"wire.py", "control.py"}  # the definition, the one user
+        offenders = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            if path.name not in allowed
+            and re.search(r"\brsp_frame\b", path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, offenders
