@@ -19,7 +19,8 @@ bounds (8.001 and 6.986) on the Figure 15(b) configurations.
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from repro.analysis.combinatorics import comb_exact, comb_ratio
 
@@ -50,6 +51,15 @@ def _no_match_probability(n: int, base: int, num_digits: int, i: int) -> float:
 
 def level_distribution(n: int, base: int, num_digits: int) -> List[float]:
     """``[P_0(n), ..., P_{d-1}(n)]`` via the Vandermonde closed form."""
+    return list(_level_distribution(n, base, num_digits))
+
+
+@lru_cache(maxsize=64)
+def _level_distribution(
+    n: int, base: int, num_digits: int
+) -> Tuple[float, ...]:
+    # Memoised (as an immutable tuple): Theorems 4 and 5 are evaluated
+    # back to back for the same (n, b, d) by the auditor and the sweeps.
     _check_params(n, base, num_digits)
     q = [
         _no_match_probability(n, base, num_digits, i)
@@ -58,7 +68,7 @@ def level_distribution(n: int, base: int, num_digits: int) -> List[float]:
     # Q(d) involves all b^d - 1 foreign IDs, none of which shares all d
     # digits, so it is exactly 1.
     assert abs(q[num_digits] - 1.0) < 1e-12
-    return [q[i + 1] - q[i] for i in range(num_digits)]
+    return tuple(q[i + 1] - q[i] for i in range(num_digits))
 
 
 def level_distribution_naive(

@@ -17,10 +17,10 @@ bookkeeping bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional
 
-from repro.ids.digits import NodeId
-from repro.ids.suffix import SuffixIndex
+from repro.ids.digits import PACKED_DIGIT_BITS, PACKED_DIGIT_MASK, NodeId
+from repro.ids.packed import SuffixClassIndex
 from repro.routing.entry import NeighborState
 from repro.routing.table import NeighborTable
 
@@ -78,72 +78,111 @@ def check_consistency(
     filled entry is justified by its (suffix-valid, live) occupant even
     when no *checked* member carries the suffix, because the occupant
     may simply not have reached *in_system* yet."""
-    members = list(tables)
-    index = SuffixIndex(members)
     report = ConsistencyReport(consistent=True)
-    relaxed_occupants = occupant_set is not None
-    member_set = (
-        set(members) if occupant_set is None else set(occupant_set)
-    )
-
-    def add(violation: Violation) -> bool:
-        report.violations.append(violation)
-        report.consistent = False
-        return max_violations is not None and len(
-            report.violations
-        ) >= max_violations
-
-    for node_id in members:
-        table = tables[node_id]
-        table_get = table.get
-        any_with = index.any_with
+    if not tables:
+        return report
+    index = SuffixClassIndex.of(tables)
+    occupants = {
+        node._packed
+        for node in (tables if occupant_set is None else occupant_set)
+    }
+    cells = index.base * index.num_digits
+    found = report.violations
+    for node_id, table in tables.items():
         report.nodes_checked += 1
-        for level in range(node_id.num_digits):
-            shared = node_id.suffix(level)
-            report.entries_checked += node_id.base
-            for digit in range(node_id.base):
-                desired = shared + (digit,)
-                occupant = table_get(level, digit)
-                exists = any_with(desired)
-                if occupant is None:
-                    if exists:
-                        if add(Violation(
-                            node_id, level, digit, "false_negative",
-                            f"suffix set non-empty (e.g. "
-                            f"{next(iter(index.nodes_with(desired)))}) but "
-                            f"entry is null",
-                        )):
-                            return report
-                    continue
-                if not exists and not relaxed_occupants:
-                    if add(Violation(
-                        node_id, level, digit, "false_positive",
-                        f"entry holds {occupant} but no node has the "
-                        f"required suffix",
-                    )):
-                        return report
-                    continue
-                if occupant not in member_set:
-                    if add(Violation(
-                        node_id, level, digit, "bad_occupant",
-                        f"{occupant} is not a member of the network",
-                    )):
-                        return report
-                    continue
-                if not occupant.has_suffix(desired):
-                    if add(Violation(
-                        node_id, level, digit, "bad_occupant",
-                        f"{occupant} lacks the required suffix",
-                    )):
-                        return report
-                    continue
-                if (
-                    require_s_states
-                    and table.state(level, digit) is not NeighborState.S
-                ):
-                    if add(Violation(
-                        node_id, level, digit, "stale_state",
-                        f"neighbor {occupant} still recorded as T",
-                    )):
-                        return report
+        report.entries_checked += cells
+        table_violations(
+            node_id, table, index, occupants, found,
+            require_s_states=require_s_states,
+            relaxed_occupants=occupant_set is not None,
+        )
+        if max_violations is not None and len(found) >= max_violations:
+            del found[max_violations:]
+            break
+    report.consistent = not found
     return report
+
+
+def table_violations(
+    node_id: NodeId,
+    table: NeighborTable,
+    index: SuffixClassIndex,
+    occupants: AbstractSet[int],
+    found: List[Violation],
+    *,
+    require_s_states: bool,
+    relaxed_occupants: bool,
+) -> None:
+    """Append ``node_id``'s violations to ``found``, in position order.
+    ``occupants`` holds the *packed* IDs an entry may point at (int
+    hashing stays in C; hashing a NodeId is a method call per entry).
+
+    One merge of two sorted sequences: the positions ``index`` (which
+    must hold ``node_id``) requires filled, and the table's snapshot.
+    A required position the snapshot skips is a false negative, a
+    filled one that is not required a false positive (unless
+    ``relaxed_occupants``), and every other filled entry is held to the
+    occupant and state rules -- what a probe of all ``d * b`` cells
+    against the suffix sets decides, without visiting the empty ones.
+    """
+    packed = node_id._packed
+    base = index.base
+    w = PACKED_DIGIT_BITS
+    digit_mask = PACKED_DIGIT_MASK
+    s_state = NeighborState.S
+    required = index.required_positions(packed)
+    count = len(required)
+    i = 0
+    for level, digit, occupant, state in table.snapshot():
+        idx = level * base + digit
+        if i < count and required[i] == idx:
+            i += 1
+        else:
+            while i < count and required[i] < idx:
+                found.append(_false_negative(node_id, required[i], index))
+                i += 1
+            if i < count and required[i] == idx:
+                i += 1
+            elif not relaxed_occupants:
+                found.append(Violation(
+                    node_id, level, digit, "false_positive",
+                    f"entry holds {occupant} but no node has the "
+                    f"required suffix",
+                ))
+                continue
+        other = occupant._packed
+        if other not in occupants:
+            found.append(Violation(
+                node_id, level, digit, "bad_occupant",
+                f"{occupant} is not a member of the network",
+            ))
+            continue
+        shift = level * w
+        if (other ^ packed) & ((1 << shift) - 1) or (
+            (other >> shift) & digit_mask
+        ) != digit:
+            found.append(Violation(
+                node_id, level, digit, "bad_occupant",
+                f"{occupant} lacks the required suffix",
+            ))
+            continue
+        if require_s_states and state is not s_state:
+            found.append(Violation(
+                node_id, level, digit, "stale_state",
+                f"neighbor {occupant} still recorded as T",
+            ))
+    for idx in required[i:]:
+        found.append(_false_negative(node_id, idx, index))
+
+
+def _false_negative(
+    node_id: NodeId, idx: int, index: SuffixClassIndex
+) -> Violation:
+    level, digit = divmod(idx, index.base)
+    shift = level * PACKED_DIGIT_BITS
+    wanted = (digit << shift) | (node_id._packed & ((1 << shift) - 1))
+    example = index.members(index.key(wanted, level + 1))[0]
+    return Violation(
+        node_id, level, digit, "false_negative",
+        f"suffix set non-empty (e.g. {example}) but entry is null",
+    )

@@ -40,10 +40,15 @@ scanner.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
-from repro.ids.digits import PACKED_DIGIT_BITS, PACKED_DIGIT_MASK, NodeId
-from repro.consistency.checker import ConsistencyReport, Violation
+from repro.ids.digits import NodeId
+from repro.ids.packed import SuffixClassIndex
+from repro.consistency.checker import (
+    ConsistencyReport,
+    Violation,
+    table_violations,
+)
 from repro.routing.table import NeighborTable
 
 
@@ -58,122 +63,19 @@ class IncrementalChecker:
     """
 
     def __init__(self) -> None:
-        self._initialized = False
-        # Packed length-tagged suffix key ((k << d*w) | suffix bits,
-        # as in repro.routing.oracle) -> audited members of the class.
-        self._index: Dict[int, Set[NodeId]] = {}
-        #: node -> table version at its last verification.
+        #: Suffix classes of the audited members (None until the
+        #: first one shows up, and again after a shrink).
+        self._index: Optional[SuffixClassIndex] = None
+        #: Audited node -> table version at its last verification.
         self._versions: Dict[NodeId, int] = {}
         #: node -> its currently cached violations (absent if clean).
         self._violations: Dict[NodeId, List[Violation]] = {}
-        self._member_set: Set[NodeId] = set()
-        self._occupants: Set[NodeId] = set()
+        self._occupants: Set[int] = set()
         #: Cumulative count of per-node verifications (observability;
         #: compare against calls * len(tables) for the saving).
         self.nodes_reverified = 0
         #: Number of full rescans triggered by membership shrink.
         self.full_rescans = 0
-
-    # -- index plumbing -------------------------------------------------
-
-    def _configure(self, exemplar: NodeId) -> None:
-        self._base = exemplar.base
-        self._num_digits = exemplar.num_digits
-        w = PACKED_DIGIT_BITS
-        self._tag_shift = self._num_digits * w
-        self._masks = tuple(
-            (1 << (k * w)) - 1 for k in range(self._num_digits + 1)
-        )
-        self._initialized = True
-
-    def _reset(self) -> None:
-        self._index.clear()
-        self._versions.clear()
-        self._violations.clear()
-        self._member_set = set()
-        self._occupants = set()
-
-    def _add_members(
-        self, new_members: List[NodeId], dirty: Set[NodeId]
-    ) -> None:
-        """Index ``new_members``; dirty every node whose previously
-        empty suffix class just gained its first member."""
-        index = self._index
-        masks = self._masks
-        tag_shift = self._tag_shift
-        created_parents: List[int] = []
-        for member in new_members:
-            packed = member._packed
-            for k in range(self._num_digits + 1):
-                key = (k << tag_shift) | (packed & masks[k])
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = {member}
-                    if k:
-                        created_parents.append(
-                            ((k - 1) << tag_shift)
-                            | (packed & masks[k - 1])
-                        )
-                else:
-                    bucket.add(member)
-        for parent in created_parents:
-            # Members of the parent class are the nodes whose (k-1,
-            # digit) entry aims at the newly non-empty class.
-            dirty |= index[parent]
-
-    # -- per-node verification ------------------------------------------
-
-    def _check_node(
-        self,
-        node_id: NodeId,
-        table: NeighborTable,
-        occupants: Set[NodeId],
-    ) -> List[Violation]:
-        """Relaxed-mode verdict for one node (mirrors the full
-        checker's per-entry decisions exactly)."""
-        violations: List[Violation] = []
-        index = self._index
-        masks = self._masks
-        tag_shift = self._tag_shift
-        w = PACKED_DIGIT_BITS
-        dmask = PACKED_DIGIT_MASK
-        packed = node_id._packed
-        table_get = table.get
-        base = self._base
-        for level in range(self._num_digits):
-            parent_bits = packed & masks[level]
-            key_base = (level + 1) << tag_shift
-            shift = level * w
-            for digit in range(base):
-                occupant = table_get(level, digit)
-                if occupant is None:
-                    bucket = index.get(
-                        key_base | (digit << shift) | parent_bits
-                    )
-                    if bucket:
-                        violations.append(Violation(
-                            node_id, level, digit, "false_negative",
-                            f"suffix set non-empty (e.g. "
-                            f"{next(iter(bucket))}) but entry is null",
-                        ))
-                    continue
-                if occupant not in occupants:
-                    violations.append(Violation(
-                        node_id, level, digit, "bad_occupant",
-                        f"{occupant} is not a member of the network",
-                    ))
-                    continue
-                opacked = occupant._packed
-                if (opacked & masks[level]) != parent_bits or (
-                    (opacked >> shift) & dmask
-                ) != digit:
-                    violations.append(Violation(
-                        node_id, level, digit, "bad_occupant",
-                        f"{occupant} lacks the required suffix",
-                    ))
-        return violations
-
-    # -- public API -----------------------------------------------------
 
     def check(
         self,
@@ -189,39 +91,39 @@ class IncrementalChecker:
         the verdict; ``nodes_checked``/``entries_checked`` count only
         the nodes actually re-verified this call).
         """
-        # Always a private copy: shrink detection compares against the
-        # *previous* call's set, which must not alias a set the caller
-        # mutates in place between calls.
-        occupants = set(occupant_set)
-        if not self._initialized:
-            if not tables:
-                # Nothing audited yet: vacuously consistent (matches
-                # the full checker on an empty mapping).
-                return ConsistencyReport(consistent=True)
-            self._configure(next(iter(tables)))
+        # Always a private set (of packed IDs, as the scan wants them):
+        # shrink detection compares against the *previous* call's,
+        # which must not alias a set the caller mutates between calls.
+        occupants = {node._packed for node in occupant_set}
+        versions = self._versions
         if not (
-            self._member_set <= tables.keys()
+            versions.keys() <= tables.keys()
             and self._occupants <= occupants
         ):
             # Membership shrank: removals cannot be localized, start
             # over (the rebuilt state then serves later calls again).
-            self._reset()
+            self._index = None
+            versions.clear()
+            self._violations.clear()
             self.full_rescans += 1
         self._occupants = occupants
 
         dirty: Set[NodeId] = set()
-        versions = self._versions
-        new_members = [m for m in tables if m not in versions]
-        if new_members:
-            self._add_members(new_members, dirty)
-            dirty.update(new_members)
-            self._member_set.update(new_members)
+        index = self._index
         for member, table in tables.items():
-            version = table._version
             known = versions.get(member)
-            if known is None or known != version:
-                versions[member] = version
-                dirty.add(member)
+            if known is None:
+                if index is None:
+                    index = self._index = SuffixClassIndex(
+                        member.base, member.num_digits
+                    )
+                # A member founding a suffix class turns a null entry
+                # of every node one class up into a false negative,
+                # without touching those nodes' tables.
+                dirty.update(index.add(member))
+            elif known == table._version:
+                continue
+            dirty.add(member)
         # A cached violation can be resolved by membership growth
         # alone; re-verifying keeps verdicts and the auditor's
         # persistence streaks identical to the full checker's.
@@ -231,17 +133,23 @@ class IncrementalChecker:
         for member in dirty:
             table = tables[member]
             versions[member] = table._version
-            violations = self._check_node(member, table, occupants)
+            violations: List[Violation] = []
+            table_violations(
+                member, table, index, occupants, violations,
+                require_s_states=False, relaxed_occupants=True,
+            )
             if violations:
                 cached[member] = violations
-            else:
+            elif cached:
                 cached.pop(member, None)
         self.nodes_reverified += len(dirty)
 
         report = ConsistencyReport(
             consistent=True,
             nodes_checked=len(dirty),
-            entries_checked=len(dirty) * self._num_digits * self._base,
+            entries_checked=(
+                len(dirty) * index.num_digits * index.base if dirty else 0
+            ),
         )
         if cached:
             out = report.violations

@@ -31,7 +31,8 @@ fit in memory.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Tuple
+from bisect import insort
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.ids.digits import (
     MAX_BASE,
@@ -44,6 +45,7 @@ __all__ = [
     "PACKED_DIGIT_BITS",
     "PACKED_DIGIT_MASK",
     "PackedIdSpace",
+    "SuffixClassIndex",
     "packed_csuf_len",
     "packed_digit",
     "packed_suffix",
@@ -262,3 +264,135 @@ class PackedIdSpace:
         return (
             f"PackedIdSpace(base={self.base}, num_digits={self.num_digits})"
         )
+
+
+class SuffixClassIndex:
+    """The suffix classes ``V_omega`` of a membership, by packed key.
+
+    The one index behind the oracle constructor and both consistency
+    checkers.  :attr:`classes` maps the length-tagged key of every
+    non-empty class (``(k << tag_shift) | suffix bits``, the
+    :meth:`PackedIdSpace.suffix_key` layout) to its members in arrival
+    order -- the bare :class:`NodeId` while the class has a single
+    member, a list from the second on: at ``n`` nodes roughly
+    ``n * (d - log_b n)`` classes are singletons, and a container
+    apiece was most of what the indexes this replaces weighed.
+    :attr:`filled` maps every *multi-member* class shorter than ``d``
+    digits to the flat table positions ``level * base + digit`` of its
+    non-empty one-digit extensions, ascending -- the entries
+    Definition 3.8 wants filled at that level in each member's table.
+    A singleton class carries no such record: its only extension runs
+    along its member's own next digit.
+
+    Nodes are only ever added; a shrinking membership is indexed anew.
+    """
+
+    __slots__ = (
+        "base", "num_digits", "classes", "filled", "tag_shift", "_masks",
+    )
+
+    def __init__(self, base: int, num_digits: int):
+        self.base = base
+        self.num_digits = num_digits
+        self.classes: Dict[int, Union[NodeId, List[NodeId]]] = {}
+        self.filled: Dict[int, List[int]] = {}
+        self.tag_shift = num_digits * PACKED_DIGIT_BITS
+        self._masks = tuple(
+            (1 << (k * PACKED_DIGIT_BITS)) - 1 for k in range(num_digits + 1)
+        )
+
+    @classmethod
+    def of(cls, members: Iterable[NodeId]) -> "SuffixClassIndex":
+        """Index ``members`` (non-empty, one ID space, no repeats)."""
+        members = iter(members)
+        first = next(members)
+        index = cls(first.base, first.num_digits)
+        index.add(first)
+        for member in members:
+            index.add(member)
+        return index
+
+    def key(self, packed: int, k: int) -> int:
+        """Key of the class of IDs sharing ``packed``'s last ``k`` digits."""
+        return (k << self.tag_shift) | (packed & self._masks[k])
+
+    def add(self, node: NodeId) -> Sequence[NodeId]:
+        """Index ``node`` under every suffix it carries.
+
+        Returns the members (``node`` included) of the longest-suffix
+        class that existed before the call, ``()`` for the first node.
+        Those are exactly the nodes of which Definition 3.8 now asks
+        one more entry -- the one aimed at the class ``node`` founded
+        right below theirs.
+        """
+        if node.base != self.base or node.num_digits != self.num_digits:
+            raise ValueError("all nodes must share one ID space")
+        packed = node._packed
+        classes = self.classes
+        base = self.base
+        tag_shift = self.tag_shift
+        masks = self._masks
+        w = PACKED_DIGIT_BITS
+        joined: Sequence[NodeId] = ()
+        parent = None
+        depth = 0  # how many digits of ``node`` some earlier member shares
+        while True:
+            key = (depth << tag_shift) | (packed & masks[depth])
+            held = classes.get(key)
+            if held is None:
+                break
+            if depth == self.num_digits:
+                raise ValueError("node IDs must be unique")
+            if held.__class__ is list:
+                held.append(node)
+            else:
+                # Second member: the class starts recording its
+                # extensions, beginning with the first member's.
+                shift = depth * w
+                self.filled[key] = [
+                    depth * base
+                    + ((held._packed >> shift) & PACKED_DIGIT_MASK)
+                ]
+                held = classes[key] = [held, node]
+            joined = held
+            parent = key
+            depth += 1
+        # ``node`` founds every longer class, alone; the class it last
+        # joined gains the extension along ``node``'s next digit.
+        if parent is not None:
+            shift = (depth - 1) * w
+            insort(
+                self.filled[parent],
+                (depth - 1) * base + ((packed >> shift) & PACKED_DIGIT_MASK),
+            )
+        for k in range(depth, self.num_digits + 1):
+            classes[(k << tag_shift) | (packed & masks[k])] = node
+        return joined
+
+    def members(self, key: int) -> Sequence[NodeId]:
+        """The class ``key`` names, in arrival order (``()`` if empty)."""
+        held = self.classes.get(key)
+        if held is None:
+            return ()
+        return held if held.__class__ is list else (held,)
+
+    def required_positions(self, packed: int) -> List[int]:
+        """Flat positions Definition 3.8 wants filled in the table of
+        the indexed member ``packed``, ascending."""
+        out: List[int] = []
+        probe = self.filled.get
+        tag_shift = self.tag_shift
+        masks = self._masks
+        for level in range(self.num_digits):
+            positions = probe((level << tag_shift) | (packed & masks[level]))
+            if positions is None:
+                # Alone in its class from here up: self-pointers only.
+                for above in range(level, self.num_digits):
+                    shift = above * PACKED_DIGIT_BITS
+                    out.append(
+                        above * self.base
+                        + ((packed >> shift) & PACKED_DIGIT_MASK)
+                    )
+                break
+            out += positions
+        return out

@@ -43,6 +43,13 @@ class NetworkNode:
     #: non-method handler gets a private copy-on-write table.
     _class_handlers: Dict[type, Dict[Type[Message], Callable]] = {}
 
+    # Slotted so that a subclass declaring its own slots (ProtocolNode,
+    # of which a simulation holds one per member) carries no instance
+    # dict; subclasses that declare none get theirs as usual.
+    __slots__ = (
+        "node_id", "transport", "runtime", "_handlers", "_own_handlers",
+    )
+
     def __init__(self, node_id: NodeId, transport: Transport):
         self.node_id = node_id
         self.transport = transport

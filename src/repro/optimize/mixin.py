@@ -20,13 +20,27 @@ Position = Tuple[int, int]
 MEASURE = 2
 
 
+class _OptimizationState:
+    """One node's working state for an optimization round."""
+
+    __slots__ = ("best", "measured")
+
+    def __init__(self) -> None:
+        # position -> (best RTT seen, best candidate)
+        self.best: Dict[Position, Tuple[float, NodeId]] = {}
+        self.measured: Set[NodeId] = set()
+
+
 class OptimizationMixin:
-    """Nearest-neighbor entry optimization, one node's share."""
+    """Nearest-neighbor entry optimization, one node's share.
+
+    A node that never runs a round keeps ``_opt`` at ``None``.
+    """
+
+    __slots__ = ()
 
     def _init_optimization(self) -> None:
-        # position -> (best RTT seen, best candidate)
-        self._opt_best: Dict[Position, Tuple[float, NodeId]] = {}
-        self._opt_measured: Set[NodeId] = set()
+        self._opt: Optional[_OptimizationState] = None
         self.optimization_switches = 0
         # First instance of the class registers for all (class-shared
         # handler table, see NetworkNode._class_handlers).
@@ -36,8 +50,7 @@ class OptimizationMixin:
 
     def begin_optimization_round(self) -> None:
         """Ask each entry's occupant for its suffix-class members."""
-        self._opt_best = {}
-        self._opt_measured = set()
+        self._opt = _OptimizationState()
         for entry in self.table.entries():
             if entry.node == self.node_id:
                 continue
@@ -61,11 +74,18 @@ class OptimizationMixin:
             OptFindRlyMsg(self.node_id, suffix, tuple(candidates)),
         )
 
+    def _optimization_state(self) -> _OptimizationState:
+        state = self._opt
+        if state is None:
+            state = self._opt = _OptimizationState()
+        return state
+
     def _on_opt_find_rly(self, msg: OptFindRlyMsg) -> None:
+        measured = self._optimization_state().measured
         for candidate in msg.candidates:
-            if candidate == self.node_id or candidate in self._opt_measured:
+            if candidate == self.node_id or candidate in measured:
                 continue
-            self._opt_measured.add(candidate)
+            measured.add(candidate)
             self.send(
                 candidate, PingMsg(self.node_id, self.now, token=MEASURE)
             )
@@ -73,6 +93,7 @@ class OptimizationMixin:
     def _on_measured_pong(self, msg: PongMsg) -> None:
         rtt = self.now - msg.sent_at
         candidate = msg.sender
+        best_of = self._optimization_state().best
         for entry in self.table.entries():
             if entry.node == self.node_id:
                 continue
@@ -80,9 +101,9 @@ class OptimizationMixin:
             if not candidate.has_suffix(suffix):
                 continue
             position = (entry.level, entry.digit)
-            best = self._opt_best.get(position)
+            best = best_of.get(position)
             if best is None or rtt < best[0]:
-                self._opt_best[position] = (rtt, candidate)
+                best_of[position] = (rtt, candidate)
 
     def finalize_optimization_round(self) -> int:
         """Switch each entry to its best measured candidate.  Returns
@@ -91,7 +112,8 @@ class OptimizationMixin:
         from repro.routing.entry import NeighborState
 
         switches = 0
-        for position, (_rtt, candidate) in self._opt_best.items():
+        state = self._optimization_state()
+        for position, (_rtt, candidate) in state.best.items():
             level, digit = position
             current = self.table.get(level, digit)
             if current is None or current == candidate:
@@ -106,5 +128,5 @@ class OptimizationMixin:
             self.send(current, RvNghDropMsg(self.node_id, level, digit))
             switches += 1
         self.optimization_switches += switches
-        self._opt_best = {}
+        state.best = {}
         return switches

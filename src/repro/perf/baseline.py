@@ -295,11 +295,11 @@ class DictNeighborTable(NeighborTable):
         self._version += 1
 
     def load_reverse(self, acc) -> None:
-        """Wholesale reverse-set install; the oracle hands the sets
-        keyed by flat index, this backend keys by position tuple."""
+        """Wholesale reverse install; the oracle hands pointer lists
+        keyed by flat index, this backend keeps position-keyed sets."""
         base = self.base
         self._reverse = {
-            (idx // base, idx % base): bucket
+            (idx // base, idx % base): set(bucket)
             for idx, bucket in acc.items()
         }
 

@@ -38,6 +38,7 @@ from typing import List, Sequence, Tuple
 
 from repro.ids.digits import NodeId
 from repro.network.message import HEADER_BYTES, NODE_REF_BYTES, Message
+from repro.protocol.status import NodeStatus
 
 
 class LeaveNotifyMsg(Message):
@@ -97,12 +98,12 @@ def replacement_candidates(node, level: int) -> Tuple[NodeId, ...]:
 
 
 class LeaveProtocolMixin:
-    """Leave-protocol state and handlers, mixed into ProtocolNode."""
+    """Leave-protocol state and handlers, mixed into ProtocolNode
+    (which declares the slots: three scalars, no containers)."""
+
+    __slots__ = ()
 
     def _init_leave_protocol(self) -> None:
-        from repro.protocol.status import NodeStatus  # cycle guard
-
-        self._status_cls = NodeStatus
         self.leave_acks_pending = 0
         self.left_at = None
         self.on_departed = None  # set by JoinProtocolNetwork
@@ -120,15 +121,15 @@ class LeaveProtocolMixin:
         join layer (no queued joiners waiting on us)."""
         from repro.protocol.node import ProtocolError
 
-        if self.status is not self._status_cls.IN_SYSTEM:
+        if self.status is not NodeStatus.IN_SYSTEM:
             raise ProtocolError(
                 f"{self.node_id} cannot leave in status {self.status}"
             )
-        if self.q_joinwait:
+        if self._queues is not None and self._queues.joinwait:
             raise ProtocolError(
                 f"{self.node_id} has joiners waiting; cannot leave"
             )
-        self._set_status(self._status_cls.LEAVING)
+        self._set_status(NodeStatus.LEAVING)
         self.leave_acks_pending = 0
         for level, digit in self.table.reverse_positions():
             candidates = replacement_candidates(self, level)
@@ -150,12 +151,12 @@ class LeaveProtocolMixin:
         self.leave_acks_pending -= 1
         if (
             self.leave_acks_pending == 0
-            and self.status is self._status_cls.LEAVING
+            and self.status is NodeStatus.LEAVING
         ):
             self._depart()
 
     def _depart(self) -> None:
-        self._set_status(self._status_cls.LEFT)
+        self._set_status(NodeStatus.LEFT)
         self.left_at = self.now
         if self.on_departed is not None:
             self.on_departed(self.node_id)
@@ -165,7 +166,8 @@ class LeaveProtocolMixin:
     def _on_leave_notify(self, msg: LeaveNotifyMsg) -> None:
         from repro.routing.entry import NeighborState
 
-        self.backups.discard(msg.sender)
+        if self._backups is not None:
+            self._backups.discard(msg.sender)
         current = self.table.get(msg.level, msg.digit)
         if current == msg.sender:
             replacement = next(
@@ -195,7 +197,8 @@ class LeaveProtocolMixin:
 
     def _on_leave_forget(self, msg: LeaveForgetMsg) -> None:
         self.table.remove_reverse_everywhere(msg.sender)
-        self.backups.discard(msg.sender)
+        if self._backups is not None:
+            self._backups.discard(msg.sender)
 
 
 def leave_sequentially(network, leavers: Sequence[NodeId]) -> None:

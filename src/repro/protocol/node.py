@@ -62,6 +62,7 @@ from repro.protocol.sizing import (
 )
 from repro.protocol.status import NodeStatus
 from repro.core.trace import NullTraceLog, TraceLog
+from repro.routing.backups import BackupStore
 from repro.routing.entry import NeighborState
 from repro.routing.table import NeighborTable, TableSnapshot
 
@@ -87,6 +88,19 @@ _LOWBIT_K = {
 }
 
 
+class _JoinQueues:
+    """Figure 3's ``Q_r``, ``Q_n``, ``Q_j``, ``Q_sr`` and ``Q_sn``."""
+
+    __slots__ = ("reply", "notified", "joinwait", "spe_reply", "spe_sent")
+
+    def __init__(self) -> None:
+        self.reply: Set[NodeId] = set()
+        self.notified: Set[NodeId] = set()
+        self.joinwait: Set[NodeId] = set()
+        self.spe_reply: Set[NodeId] = set()
+        self.spe_sent: Set[NodeId] = set()
+
+
 class ProtocolNode(
     # OptimizationMixin precedes RecoveryMixin so its _on_measured_pong
     # overrides the recovery mixin's no-op hook.
@@ -98,7 +112,27 @@ class ProtocolNode(
     ``status=IN_SYSTEM`` and a pre-populated (consistent) table; joining
     nodes are created with ``status=COPYING`` and start the protocol
     via :meth:`begin_join`.
+
+    One flat slotted record per node.  Everything only *some* nodes
+    ever need -- the join queues, the backup store, the recovery and
+    optimization working state of the mixins -- hangs off a slot that
+    stays ``None`` until first use, so a member that never queues a
+    joiner, never crashes a neighbor and never optimizes pays eight
+    bytes for each possibility and owns no empty container.
     """
+
+    __slots__ = (
+        "status", "sizing", "trace", "_trace_fill", "on_phase", "table",
+        "noti_level", "join_began_at", "became_s_at",
+        "_copy_level", "_copy_prev", "_copy_target",
+        "_queues", "_backups",
+        # LeaveProtocolMixin
+        "leave_acks_pending", "left_at", "on_departed",
+        # RecoveryMixin
+        "_recovery", "repaired_entries", "cleared_entries",
+        # OptimizationMixin
+        "_opt", "optimization_switches",
+    )
 
     def __init__(
         self,
@@ -128,17 +162,9 @@ class ProtocolNode(
             self.table = table
         else:
             self.table = NeighborTable(node_id)
-        # Backup neighbors (footnote 6): suffix-qualified nodes seen
-        # for already-filled entries, kept for fault-tolerant routing.
-        from repro.routing.backups import BackupStore
-
-        self.backups = BackupStore(node_id)
+        self._backups: Optional[BackupStore] = None
         self.noti_level = 0
-        self.q_reply: Set[NodeId] = set()
-        self.q_notified: Set[NodeId] = set()
-        self.q_joinwait: Set[NodeId] = set()
-        self.q_spe_reply: Set[NodeId] = set()
-        self.q_spe_sent: Set[NodeId] = set()
+        self._queues: Optional[_JoinQueues] = None
         # Joining-period bookkeeping (Definition 3.1): t^b and t^e.
         self.join_began_at: Optional[float] = None
         self.became_s_at: Optional[float] = 0.0 if status.is_s_node else None
@@ -175,6 +201,27 @@ class ProtocolNode(
     @property
     def is_s_node(self) -> bool:
         return self.status.is_s_node
+
+    @property
+    def backups(self) -> BackupStore:
+        """Backup neighbors (footnote 6): suffix-qualified nodes seen
+        for already-filled entries, kept for fault-tolerant routing."""
+        store = self._backups
+        if store is None:
+            store = self._backups = BackupStore(self.node_id)
+        return store
+
+    def _join_queues(self) -> _JoinQueues:
+        queues = self._queues
+        if queues is None:
+            queues = self._queues = _JoinQueues()
+        return queues
+
+    q_reply = property(lambda self: self._join_queues().reply)
+    q_notified = property(lambda self: self._join_queues().notified)
+    q_joinwait = property(lambda self: self._join_queues().joinwait)
+    q_spe_reply = property(lambda self: self._join_queues().spe_reply)
+    q_spe_sent = property(lambda self: self._join_queues().spe_sent)
 
     def _set_status(self, status: NodeStatus) -> None:
         self.trace.record(
@@ -282,8 +329,9 @@ class ProtocolNode(
         self._set_status(NodeStatus.WAITING)
         target = p if g is None else g
         self.send(target, JoinWaitMsg(self.node_id))
-        self.q_notified.add(target)
-        self.q_reply.add(target)
+        queues = self._join_queues()
+        queues.notified.add(target)
+        queues.reply.add(target)
 
     # ------------------------------------------------------------------
     # JoinWaitMsg / JoinWaitRlyMsg (Figures 6 and 7)
@@ -315,7 +363,8 @@ class ProtocolNode(
 
     def _on_join_wait_rly(self, msg: JoinWaitRlyMsg) -> None:
         y = msg.sender
-        self.q_reply.discard(y)
+        queues = self._join_queues()
+        queues.reply.discard(y)
         k = self._csuf(y)
         if self.table.get(k, y.digit(k)) == y:
             self.table.set_state(k, y.digit(k), NeighborState.S)
@@ -330,13 +379,13 @@ class ProtocolNode(
         else:
             u = msg.referral
             self.send(u, JoinWaitMsg(self.node_id))
-            self.q_notified.add(u)
-            self.q_reply.add(u)
+            queues.notified.add(u)
+            queues.reply.add(u)
         self._check_ngh_table(msg.table)
         if (
             self.status is NodeStatus.NOTIFYING
-            and not self.q_reply
-            and not self.q_spe_reply
+            and not queues.reply
+            and not queues.spe_reply
         ):
             self._switch_to_s_node()
 
@@ -357,7 +406,9 @@ class ProtocolNode(
         own_id = self.node_id
         notifying = self.status is NodeStatus.NOTIFYING
         noti_level = self.noti_level
-        q_notified = self.q_notified
+        # Q_n is consulted while notifying only; members that merely
+        # receive a table must not grow queues by being asked.
+        q_notified = self.q_notified if notifying else ()
         table = self.table
         if table.__class__ is _ARRAY_TABLE:
             own_packed = own_id._packed
@@ -475,8 +526,9 @@ class ProtocolNode(
                 bitmap,
             ),
         )
-        self.q_notified.add(target)
-        self.q_reply.add(target)
+        queues = self._join_queues()
+        queues.notified.add(target)
+        queues.reply.add(target)
 
     # ------------------------------------------------------------------
     # JoinNotiMsg / JoinNotiRlyMsg (Figures 9 and 10)
@@ -512,24 +564,25 @@ class ProtocolNode(
                 f"JoinNotiRlyMsg in status {self.status}"
             )
         y = msg.sender
-        self.q_reply.discard(y)
+        queues = self._join_queues()
+        queues.reply.discard(y)
         k = self._csuf(y)
         if msg.positive:
             self.table.add_reverse(k, self.node_id.digit(k), y)
         if (
             msg.conflict
             and k > self.noti_level
-            and y not in self.q_spe_sent
+            and y not in queues.spe_sent
         ):
             occupant = self.table.get(k, y.digit(k))
             if occupant is not None and occupant != y:
                 self.send(
                     occupant, SpeNotiMsg(self.node_id, self.node_id, y)
                 )
-                self.q_spe_sent.add(y)
-                self.q_spe_reply.add(y)
+                queues.spe_sent.add(y)
+                queues.spe_reply.add(y)
         self._check_ngh_table(msg.table)
-        if not self.q_reply and not self.q_spe_reply:
+        if not queues.reply and not queues.spe_reply:
             self._switch_to_s_node()
 
     # ------------------------------------------------------------------
@@ -549,11 +602,12 @@ class ProtocolNode(
             )
 
     def _on_spe_noti_rly(self, msg: SpeNotiRlyMsg) -> None:
-        self.q_spe_reply.discard(msg.subject)
+        queues = self._join_queues()
+        queues.spe_reply.discard(msg.subject)
         if (
             self.status is NodeStatus.NOTIFYING
-            and not self.q_reply
-            and not self.q_spe_reply
+            and not queues.reply
+            and not queues.spe_reply
         ):
             self._switch_to_s_node()
 
@@ -569,7 +623,8 @@ class ProtocolNode(
             self.table.set_state(i, self.node_id.digit(i), NeighborState.S)
         for v in self.table.all_reverse_neighbors():
             self.send(v, InSysNotiMsg(self.node_id))
-        for u in self.q_joinwait:
+        waiting = self.q_joinwait
+        for u in waiting:
             k = self._csuf(u)
             current = self.table.get(k, u.digit(k))
             if current is None or current == u:
@@ -588,7 +643,7 @@ class ProtocolNode(
                         self.node_id, False, current, self.table.snapshot()
                     ),
                 )
-        self.q_joinwait.clear()
+        waiting.clear()
 
     def _on_in_sys_noti(self, msg: InSysNotiMsg) -> None:
         x = msg.sender

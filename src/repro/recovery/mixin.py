@@ -27,17 +27,36 @@ Position = Tuple[int, int]
 DETECT, VERIFY = 0, 1
 
 
+class _RecoveryState:
+    """One node's working state for a detection/repair sweep."""
+
+    __slots__ = (
+        "ping_outstanding", "detection_done", "detection_timer",
+        "suspected", "repair_pending", "repair_seen", "known_live",
+    )
+
+    def __init__(self) -> None:
+        self.ping_outstanding: Set[NodeId] = set()
+        self.detection_done = True
+        self.detection_timer: Optional[TimerHandle] = None
+        self.suspected: Dict[Position, NodeId] = {}
+        self.repair_pending: Set[Position] = set()
+        self.repair_seen: Set[Tuple[NodeId, Tuple[int, ...]]] = set()
+        self.known_live: Set[NodeId] = set()
+
+
 class RecoveryMixin:
-    """Failure detection and entry repair, one node's share."""
+    """Failure detection and entry repair, one node's share.
+
+    The working state is a :class:`_RecoveryState` created by the
+    first call or message that needs one; a node no sweep ever reaches
+    keeps ``_recovery`` at ``None`` (answering a ping needs no state).
+    """
+
+    __slots__ = ()
 
     def _init_recovery(self) -> None:
-        self._ping_outstanding: Set[NodeId] = set()
-        self._detection_done = True
-        self._detection_timer: Optional[TimerHandle] = None
-        self._suspected: Dict[Position, NodeId] = {}
-        self._repair_pending: Set[Position] = set()
-        self._repair_seen: Set[Tuple[NodeId, Tuple[int, ...]]] = set()
-        self._known_live: Set[NodeId] = set()
+        self._recovery: Optional[_RecoveryState] = None
         self.repaired_entries = 0
         self.cleared_entries = 0
         # First instance of the class registers for all (class-shared
@@ -48,6 +67,12 @@ class RecoveryMixin:
             self.handles(AdvertiseMsg, self._on_advertise)
             self.handles(RepairFindMsg, self._on_repair_find)
             self.handles(RepairFindRlyMsg, self._on_repair_find_rly)
+
+    def _recovery_state(self) -> _RecoveryState:
+        state = self._recovery
+        if state is None:
+            state = self._recovery = _RecoveryState()
+        return state
 
     def _required_suffix(self, position: Position) -> Tuple[int, ...]:
         level, digit = position
@@ -63,17 +88,18 @@ class RecoveryMixin:
 
         The timeout is an armed runtime timer; a sweep still in flight
         can be called off with :meth:`cancel_failure_detection`."""
-        self._detection_done = False
-        self._repair_seen = set()
+        state = self._recovery_state()
+        state.detection_done = False
+        state.repair_seen = set()
         targets = self.table.distinct_neighbors()
         targets |= self.table.all_reverse_neighbors()
         targets.discard(self.node_id)
-        self._ping_outstanding = set()
+        state.ping_outstanding = set()
         for target in targets:
             probe = PingMsg(self.node_id, self.now, token=DETECT)
-            self._ping_outstanding.add(target)
+            state.ping_outstanding.add(target)
             self.transport.send_lossy(target, probe)
-        self._detection_timer = self.start_timer(
+        state.detection_timer = self.start_timer(
             timeout, self._on_detection_timeout
         )
 
@@ -85,35 +111,37 @@ class RecoveryMixin:
         Returns True iff a sweep was actually cancelled; after the
         timeout has fired this is a no-op returning False.
         """
-        timer = self._detection_timer
-        if timer is None or self._detection_done:
+        state = self._recovery_state()
+        if state.detection_timer is None or state.detection_done:
             return False
-        timer.cancel()
-        self._detection_timer = None
-        self._ping_outstanding = set()
-        self._detection_done = True
+        state.detection_timer.cancel()
+        state.detection_timer = None
+        state.ping_outstanding = set()
+        state.detection_done = True
         return True
 
     def _on_detection_timeout(self) -> None:
-        self._detection_timer = None
-        for dead in self._ping_outstanding:
+        state = self._recovery_state()
+        state.detection_timer = None
+        for dead in state.ping_outstanding:
             for position in self.table.positions_of(dead):
-                self._suspected[position] = dead
+                state.suspected[position] = dead
             self.table.remove_reverse_everywhere(dead)
-            self.backups.discard(dead)
-        self._ping_outstanding = set()
-        self._detection_done = True
+            if self._backups is not None:
+                self._backups.discard(dead)
+        state.ping_outstanding = set()
+        state.detection_done = True
 
     @property
     def suspected_positions(self) -> Set[Position]:
-        return set(self._suspected)
+        return set(self._recovery_state().suspected)
 
     # -- advertising ------------------------------------------------------
 
     def begin_advertise(self) -> None:
         """Push our existence to every (believed-live) forward
         neighbor; see :class:`~repro.recovery.messages.AdvertiseMsg`."""
-        dead = set(self._suspected.values())
+        dead = set(self._recovery_state().suspected.values())
         for neighbor in self.table.distinct_neighbors():
             if neighbor == self.node_id or neighbor in dead:
                 continue
@@ -125,10 +153,11 @@ class RecoveryMixin:
         from repro.protocol.messages import RvNghNotiMsg
         from repro.routing.entry import NeighborState
 
-        self._known_live.add(msg.sender)
+        state = self._recovery_state()
+        state.known_live.add(msg.sender)
         # The advertiser just proved liveness: repair any suspected
         # entry it fits directly.
-        for position in list(self._suspected):
+        for position in list(state.suspected):
             if not msg.sender.has_suffix(self._required_suffix(position)):
                 continue
             level, digit = position
@@ -139,8 +168,8 @@ class RecoveryMixin:
                 msg.sender,
                 RvNghNotiMsg(self.node_id, level, digit, NeighborState.S),
             )
-            del self._suspected[position]
-            self._repair_pending.discard(position)
+            del state.suspected[position]
+            state.repair_pending.discard(position)
             self.repaired_entries += 1
 
     # -- repair ---------------------------------------------------------
@@ -150,19 +179,25 @@ class RecoveryMixin:
         with the entry's required suffix.  ``ttl > 0`` lets queried
         nodes that know no candidate forward the question onward
         (escalation for heavy failure fractions)."""
-        if not self._suspected:
+        state = self._recovery_state()
+        if not state.suspected:
             return
-        self._repair_pending = set(self._suspected)
-        dead = set(self._suspected.values())
+        state.repair_pending = set(state.suspected)
+        dead = set(state.suspected.values())
         live_neighbors = {
             neighbor
             for neighbor in self.table.distinct_neighbors()
             if neighbor not in dead and neighbor != self.node_id
         }
-        for position in self._repair_pending:
+        for position in state.repair_pending:
             # Own backups first (footnote 6): verify them by ping and
             # install on the pong, skipping the network search.
-            for backup in self.backups.get(*position):
+            backups = (
+                self._backups.get(*position)
+                if self._backups is not None
+                else ()
+            )
+            for backup in backups:
                 self.transport.send_lossy(
                     backup, PingMsg(self.node_id, self.now, token=VERIFY)
                 )
@@ -178,7 +213,8 @@ class RecoveryMixin:
         candidates: List[NodeId] = []
         if self.node_id.has_suffix(suffix):
             candidates.append(self.node_id)
-        known = self.table.distinct_neighbors() | self._known_live
+        state = self._recovery_state()
+        known = self.table.distinct_neighbors() | state.known_live
         for neighbor in sorted(known, key=lambda n: n.digits):
             if (
                 neighbor.has_suffix(suffix)
@@ -196,9 +232,9 @@ class RecoveryMixin:
         # the first node that merely *names* class members.
         if msg.ttl > 0:
             key = (msg.origin, suffix)
-            if key in self._repair_seen:
+            if key in state.repair_seen:
                 return
-            self._repair_seen.add(key)
+            state.repair_seen.add(key)
             for neighbor in self.table.distinct_neighbors():
                 if neighbor in (self.node_id, msg.origin, msg.sender):
                     continue
@@ -223,7 +259,8 @@ class RecoveryMixin:
         from repro.protocol.messages import RvNghNotiMsg
         from repro.routing.entry import NeighborState
 
-        for position in list(self._repair_pending):
+        state = self._recovery_state()
+        for position in list(state.repair_pending):
             suffix = self._required_suffix(position)
             if not candidate.has_suffix(suffix):
                 continue
@@ -235,18 +272,19 @@ class RecoveryMixin:
                 candidate,
                 RvNghNotiMsg(self.node_id, level, digit, NeighborState.S),
             )
-            self._repair_pending.discard(position)
-            self._suspected.pop(position, None)
+            state.repair_pending.discard(position)
+            state.suspected.pop(position, None)
             self.repaired_entries += 1
 
     def finalize_repairs(self) -> int:
         """Clear entries whose class could not be repopulated (the
         class is presumed extinct).  Returns how many were cleared."""
         cleared = 0
-        for position in list(self._suspected):
+        state = self._recovery_state()
+        for position in list(state.suspected):
             self.table.clear_entry(position[0], position[1])
-            del self._suspected[position]
-            self._repair_pending.discard(position)
+            del state.suspected[position]
+            state.repair_pending.discard(position)
             cleared += 1
         self.cleared_entries += cleared
         return cleared
@@ -260,7 +298,7 @@ class RecoveryMixin:
 
     def _on_pong(self, msg: PongMsg) -> None:
         if msg.token == DETECT:
-            self._ping_outstanding.discard(msg.sender)
+            self._recovery_state().ping_outstanding.discard(msg.sender)
         elif msg.token == VERIFY:
             self._install_repair(msg.sender)
         else:

@@ -30,6 +30,8 @@ MAX_BACKUPS = 2
 class BackupStore:
     """Up to :data:`MAX_BACKUPS` alternate neighbors per entry."""
 
+    __slots__ = ("owner", "capacity", "_base", "_backups")
+
     def __init__(self, owner: NodeId, capacity: int = MAX_BACKUPS):
         self.owner = owner
         self.capacity = capacity

@@ -60,8 +60,11 @@ class ObjectDirectory:
         return self.idspace.hash_name(name, self.hash_algorithm)
 
     def _provider(self):
-        tables = self.network.tables()
-        return lambda node_id: tables[node_id]
+        # A live view: no per-operation copy of every table reference,
+        # and members that joined after this directory was created
+        # resolve like any other.
+        nodes = self.network.nodes
+        return lambda node_id: nodes[node_id].table
 
     def root_of(self, name: str, origin: Optional[NodeId] = None) -> NodeId:
         """The current root node of ``name`` (origin-independent)."""

@@ -14,13 +14,12 @@ the protocol-built network of Section 6.1.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.ids.digits import PACKED_DIGIT_BITS, PACKED_DIGIT_MASK, NodeId
+from repro.ids.packed import SuffixClassIndex
 from repro.routing.entry import NeighborState, TableEntry
 from repro.routing.table import NeighborTable
-
-Suffix = Tuple[int, ...]
 
 
 def build_consistent_tables(
@@ -34,121 +33,107 @@ def build_consistent_tables(
     orders); otherwise the numerically smallest member is used, which is
     deterministic.
 
-    Suffix sets are bucketed by *packed* length-tagged suffix keys
-    (``(k << d*w) | suffix`` int arithmetic, see
-    :mod:`repro.ids.packed`) and entries land via the trusted
-    :meth:`~repro.routing.table.NeighborTable.fill_empty` — with 10⁵
-    members this constructor is a large fraction of ``bench_scale``'s
-    setup time, and the suffix-tuple dict it replaces allocated one
-    tuple per (node, level, digit).  Bucket order, entry choice and the
-    ``rng`` call sequence are unchanged from the tuple-keyed version,
-    so fixed-seed networks are identical.
+    Suffix sets come from a :class:`~repro.ids.packed.SuffixClassIndex`
+    (the index the consistency checkers use), which also names, per
+    class, the positions that have anyone to point at -- so the fill
+    loop visits only those, and entries land through the trusted bulk
+    loaders.  Fixed-seed networks are pinned: every foreign entry, in
+    ``nodes`` order, then level, then digit, draws
+    ``rng.randrange(len(V_omega))`` into ``V_omega`` listed in ``nodes``
+    order -- singleton sets included, their draw is not free -- which
+    is the ``getrandbits`` sequence this function has always consumed
+    (``tests/routing/test_oracle.py`` compares against a naive builder).
+
+    An entry ``(level, z[level], z, S)`` is the same immutable value in
+    ``z``'s own table and in every table pointing at ``z`` on that
+    level, so one tuple per ``(z, level)`` is built and shared by all.
     """
     members: List[NodeId] = list(nodes)
     if not members:
         raise ValueError("V must be non-empty (assumption (i))")
-    base = members[0].base
-    num_digits = members[0].num_digits
-    for node in members:
-        if node.base != base or node.num_digits != num_digits:
-            raise ValueError("all nodes must share one ID space")
-    if len(set(members)) != len(members):
-        raise ValueError("node IDs must be unique")
+    index = SuffixClassIndex.of(members)
+    base = index.base
+    num_digits = index.num_digits
+    classes = index.classes
+    filled = index.filled
+    tag_shift = index.tag_shift
 
     w = PACKED_DIGIT_BITS
-    tag_shift = num_digits * w
-    suffix_masks = tuple((1 << (k * w)) - 1 for k in range(num_digits + 1))
-
-    by_suffix: Dict[int, List[NodeId]] = {}
-    # Non-empty extensions per parent suffix: parent key -> sorted
-    # [(digit, child key)].  The fill loop below visits only these,
-    # skipping the (vast, at scale) majority of (level, digit) probes
-    # whose suffix class is empty -- while preserving the original
-    # probe order (digit-ascending per level), so the ``rng`` call
-    # sequence and therefore the built network are unchanged.
-    extensions: Dict[int, List[Tuple[int, int]]] = {}
-    for node in members:
-        packed = node._packed
-        for k in range(num_digits + 1):
-            key = (k << tag_shift) | (packed & suffix_masks[k])
-            bucket = by_suffix.get(key)
-            if bucket is None:
-                by_suffix[key] = [node]
-                if k:
-                    level_shift = (k - 1) * w
-                    parent = ((k - 1) << tag_shift) | (
-                        packed & suffix_masks[k - 1]
-                    )
-                    digit = (packed >> level_shift) & PACKED_DIGIT_MASK
-                    ext = extensions.get(parent)
-                    if ext is None:
-                        extensions[parent] = [(digit, key)]
-                    else:
-                        ext.append((digit, key))
-            else:
-                bucket.append(node)
-    for ext in extensions.values():
-        ext.sort()
-    min_of: Dict[int, NodeId] = (
-        {key: min(bucket) for key, bucket in by_suffix.items()}
-        if rng is None
-        else {}
-    )
-
+    s_state = NeighborState.S
+    new_entry = tuple.__new__
+    entries_of: Dict[int, List[TableEntry]] = {
+        node._packed: [
+            new_entry(
+                TableEntry,
+                (
+                    level,
+                    (node._packed >> (level * w)) & PACKED_DIGIT_MASK,
+                    node,
+                    s_state,
+                ),
+            )
+            for level in range(num_digits)
+        ]
+        for node in members
+    }
     tables: Dict[NodeId, NeighborTable] = {
         node: NeighborTable(node) for node in members
     }
-
-    s_state = NeighborState.S
-    new_entry = tuple.__new__
     randrange = rng.randrange if rng is not None else None
-    # Reverse-neighbor sets accumulate here (flat index -> pointers)
-    # and are installed wholesale at the end: one dict probe per
-    # cross-table pointer instead of an ``add_reverse`` method call
-    # with its bounds check -- the pointers outnumber the nodes by the
-    # average table fill, so this is a large share of construction.
-    # Keyed by the neighbor's packed form (unique within the space):
-    # int hashing stays in C, NodeId hashing is a method call.
-    reverse_acc: Dict[int, Dict[int, set]] = {
+    smallest: Dict[int, NodeId] = {}
+    # Reverse neighbors accumulate here (flat index -> pointers, in
+    # arrival order) and are installed wholesale at the end: one dict
+    # probe per cross-table pointer instead of an ``add_reverse`` call
+    # with its bounds check.  Keyed by the neighbor's packed form
+    # (unique within the space): int hashing stays in C, NodeId
+    # hashing is a method call.
+    reverse_acc: Dict[int, Dict[int, List[NodeId]]] = {
         node._packed: {} for node in members
     }
     for node in members:
         packed = node._packed
-        # Levels ascend and extension lists are digit-sorted, so the
-        # entries accumulate in exactly the sorted order load_sorted
-        # requires — one bulk append pass instead of 10⁶ fill calls.
+        own = entries_of[packed]
+        # Levels ascend and recorded positions are sorted, so the
+        # entries accumulate in exactly the order load_sorted requires.
         items: List[TableEntry] = []
         add_item = items.append
         for level in range(num_digits):
-            level_shift = level * w
-            own_digit = (packed >> level_shift) & PACKED_DIGIT_MASK
-            parent = (level << tag_shift) | (packed & suffix_masks[level])
-            for digit, key in extensions[parent]:
-                if digit == own_digit:
-                    add_item(
-                        new_entry(TableEntry, (level, digit, node, s_state))
-                    )
+            shift = level * w
+            suffix = packed & ((1 << shift) - 1)
+            positions = filled.get((level << tag_shift) | suffix)
+            if positions is None:
+                # Alone in its class from here up: self-pointers only.
+                items.extend(own[level:])
+                break
+            row = level * base
+            own_idx = row + ((packed >> shift) & PACKED_DIGIT_MASK)
+            child = ((level + 1) << tag_shift) | suffix
+            for idx in positions:
+                if idx == own_idx:
+                    add_item(own[level])
                     continue
-                bucket = by_suffix[key]
-                if randrange is None:
-                    neighbor = min_of[key]
+                key = child | ((idx - row) << shift)
+                held = classes[key]
+                if held.__class__ is not list:
+                    neighbor = held
+                    if randrange is not None:
+                        randrange(1)
+                elif randrange is not None:
+                    neighbor = held[randrange(len(held))]
                 else:
-                    neighbor = bucket[randrange(len(bucket))]
-                add_item(
-                    new_entry(TableEntry, (level, digit, neighbor, s_state))
-                )
+                    neighbor = smallest.get(key)
+                    if neighbor is None:
+                        neighbor = smallest[key] = min(held)
+                add_item(entries_of[neighbor._packed][level])
                 acc = reverse_acc[neighbor._packed]
-                ridx = level * base + digit
-                rbucket = acc.get(ridx)
-                if rbucket is None:
-                    acc[ridx] = {node}
+                pointers = acc.get(idx)
+                if pointers is None:
+                    acc[idx] = [node]
                 else:
-                    rbucket.add(node)
+                    pointers.append(node)
         tables[node].load_sorted(items)
     for node in members:
         acc = reverse_acc[node._packed]
         if acc:
-            # Trusted install (same shape add_reverse builds): every
-            # position came off a just-built primary entry.
             tables[node].load_reverse(acc)
     return tables

@@ -29,7 +29,7 @@ constraint (they derive ``(level, digit)`` from ``csuf`` directly).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.ids.digits import NodeId
 from repro.routing.entry import NeighborState, TableEntry
@@ -50,6 +50,16 @@ _STATE_FROM_CODE = (None, NeighborState.T, NeighborState.S)
 # the same mutators.
 _new_entry = tuple.__new__
 _STATE_T = NeighborState.T
+
+#: A reverse-neighbor bucket is a tuple of pointers, in arrival order,
+#: until it outgrows this or loses a pointer, and a ``set`` from then
+#: on.  The tuple stands for the set its pointers build when added in
+#: that order, so every set handed out below has the element order a
+#: set-per-bucket table would produce (senders iterate those sets: the
+#: order is part of a run's fingerprint) -- at 56 + 8k bytes instead
+#: of 216 for up to four pointers and 728 beyond.
+_TUPLE_BUCKET_MAX = 8
+ReverseBucket = Union[Tuple[NodeId, ...], Set[NodeId]]
 
 
 class EntryConflictError(RuntimeError):
@@ -83,7 +93,7 @@ class NeighborTable:
         self._entries: List[TableEntry] = []
         #: Reverse neighbors keyed by flat index (buckets are removed
         #: when emptied — no tombstones survive departures).
-        self._reverse: Dict[int, Set[NodeId]] = {}
+        self._reverse: Dict[int, ReverseBucket] = {}
         # Cached position-sorted snapshot tuple; every table-carrying
         # message (CpRlyMsg, JoinWaitRlyMsg, JoinNotiMsg, ...) takes a
         # snapshot, and between mutations they are all identical, so
@@ -213,15 +223,21 @@ class NeighborTable:
         self._snapshot = None
         self._version += 1
 
-    def load_reverse(self, acc: Dict[int, Set[NodeId]]) -> None:
-        """Trusted wholesale install of reverse-neighbor sets keyed by
-        flat index (oracle setup path).
+    def load_reverse(self, acc: Dict[int, List[NodeId]]) -> None:
+        """Trusted wholesale install of reverse neighbors keyed by
+        flat index (oracle setup path); takes ownership of ``acc``.
 
-        ``acc`` must have exactly the shape repeated
-        :meth:`add_reverse` calls would build — every key a valid flat
-        position, every bucket non-empty — which the oracle guarantees
-        by accumulating keys straight off just-built primary entries.
+        Every key must be a valid flat position and every value the
+        distinct pointers in the order repeated :meth:`add_reverse`
+        calls would have delivered them — which the oracle guarantees
+        by accumulating straight off just-built primary entries.
         """
+        for idx, pointers in acc.items():
+            acc[idx] = (
+                tuple(pointers)
+                if len(pointers) <= _TUPLE_BUCKET_MAX
+                else set(pointers)
+            )
         self._reverse = acc
 
     def set_state(self, level: int, digit: int, state: NeighborState) -> None:
@@ -308,26 +324,35 @@ class NeighborTable:
         idx = level * self.base + digit
         bucket = self._reverse.get(idx)
         if bucket is None:
-            self._reverse[idx] = {node}
-        else:
+            self._reverse[idx] = (node,)
+        elif bucket.__class__ is set:
             bucket.add(node)
+        elif node not in bucket:
+            bucket += (node,)
+            self._reverse[idx] = (
+                bucket if len(bucket) <= _TUPLE_BUCKET_MAX else set(bucket)
+            )
+
+    def _drop_reverse(self, idx: int, node: NodeId) -> None:
+        bucket = self._reverse.get(idx)
+        if bucket is None:
+            return
+        if bucket.__class__ is not set:
+            if node not in bucket:
+                return
+            bucket = self._reverse[idx] = set(bucket)
+        bucket.discard(node)
+        if not bucket:
+            del self._reverse[idx]
 
     def remove_reverse(self, level: int, digit: int, node: NodeId) -> None:
         """Forget that ``node`` points at us at ``(level, digit)``."""
-        idx = level * self.base + digit
-        bucket = self._reverse.get(idx)
-        if bucket is not None:
-            bucket.discard(node)
-            if not bucket:
-                del self._reverse[idx]
+        self._drop_reverse(level * self.base + digit, node)
 
     def remove_reverse_everywhere(self, node: NodeId) -> None:
         """Forget ``node`` from every reverse-neighbor set (it left)."""
         for idx in list(self._reverse):
-            bucket = self._reverse[idx]
-            bucket.discard(node)
-            if not bucket:
-                del self._reverse[idx]
+            self._drop_reverse(idx, node)
 
     def reverse_positions(self) -> List[Tuple[int, int]]:
         """Positions with at least one reverse neighbor recorded."""
@@ -336,13 +361,16 @@ class NeighborTable:
 
     def reverse_neighbors(self, level: int, digit: int) -> Set[NodeId]:
         """Nodes recorded as pointing at us at ``(level, digit)`` (copy)."""
-        return set(self._reverse.get(level * self.base + digit, ()))
+        bucket = self._reverse.get(level * self.base + digit, ())
+        # Copy of the set the bucket stands for, not of the tuple: a
+        # set copy lays its elements out by the source set's table.
+        return set(bucket if bucket.__class__ is set else set(bucket))
 
     def all_reverse_neighbors(self) -> Set[NodeId]:
         """Every recorded reverse neighbor, excluding the owner."""
         out: Set[NodeId] = set()
         for bucket in self._reverse.values():
-            out |= bucket
+            out |= bucket if bucket.__class__ is set else set(bucket)
         out.discard(self.owner)
         return out
 

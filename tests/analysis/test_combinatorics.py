@@ -73,3 +73,73 @@ class TestCombRatio:
 
     def test_one_when_equal(self):
         assert comb_ratio(10, 10, 5) == 1.0
+
+
+def _exact_loop(a, n, k):
+    """The definition, term by term: every quotient an exactly rounded
+    integer division, the terms summed without accumulated error."""
+    return math.fsum(math.log((a - t) / (n - t)) for t in range(k))
+
+
+class TestLogCombRatioSeries:
+    """Sums of 64 terms and more are evaluated in closed form (no
+    array library, no length-``k`` loop); it must agree with the loop
+    over every range Theorems 4 and 5 are evaluated on -- to within
+    the loop's own rounding: each of its ``k`` quotients is a double
+    near 1, good to ``2**-53``."""
+
+    @pytest.mark.parametrize(
+        "base, digits",
+        [(2, 10), (4, 4), (4, 9), (16, 8), (16, 40), (36, 12)],
+    )
+    def test_theorem4_arguments(self, base, digits):
+        total = base**digits - 1
+        for nodes in (64, 65, 200, 999, 4096, 9900, 20_000):
+            if nodes > total:
+                continue
+            for shared in range(1, digits + 1):
+                a = base**digits - base ** (digits - shared)
+                if nodes > a:
+                    assert log_comb_ratio(a, total, nodes) == float("-inf")
+                    continue
+                expected = _exact_loop(a, total, nodes)
+                assert log_comb_ratio(a, total, nodes) == pytest.approx(
+                    expected, rel=1e-13, abs=1e-15 * nodes
+                )
+
+    def test_sums_that_run_down_to_the_last_terms(self):
+        # k close to a: the closed form hands the tail back to the loop.
+        import random
+
+        rng = random.Random(0)
+        for _ in range(300):
+            n = rng.randrange(64, 6000)
+            a = rng.randrange(64, n + 1)
+            k = rng.randrange(max(64, a - 40), a + 1)
+            assert log_comb_ratio(a, n, k) == pytest.approx(
+                _exact_loop(a, n, k), rel=1e-13, abs=1e-15 * k
+            )
+
+    def test_against_exact_binomials(self):
+        import random
+
+        rng = random.Random(1)
+        for _ in range(200):
+            n = rng.randrange(64, 3000)
+            a = rng.randrange(64, n + 1)
+            k = rng.randrange(1, a + 1)
+            expected = math.log(comb_exact(a, k)) - math.log(comb_exact(n, k))
+            assert log_comb_ratio(a, n, k) == pytest.approx(
+                expected, rel=1e-11, abs=1e-11
+            )
+
+    def test_astronomical_indices_keep_the_small_terms(self):
+        """``a/n = 1 - 255/16**40``: every quotient of the loop rounds
+        to 1.0 and its sum to 0; the closed form keeps the value, which
+        is ``-k * (n - a) / n`` to first order."""
+        total = 16**40 - 1
+        a = 16**40 - 16**2
+        assert _exact_loop(a, total, 50_000) == 0.0
+        assert log_comb_ratio(a, total, 50_000) == pytest.approx(
+            -50_000 * 255 / total, rel=1e-9, abs=0.0
+        )

@@ -76,6 +76,21 @@ class TestObjectDirectory:
         for name in names:
             assert directory.query(rng.choice(joiners), name)
 
+    def test_later_joiner_resolves_without_any_rebuild(self):
+        """The directory routes over the network's live node map: a
+        member that joined after the directory was created publishes,
+        is found, and asks, with no refresh call in between -- and no
+        operation copies the table map (``tables()`` is never asked)."""
+        space, ids, net = network(n=30, seed=8)
+        directory = ObjectDirectory(net)
+        joiner = space.random_unique_ids(1, random.Random(8), exclude=ids)[0]
+        run_joins(net, [joiner])
+        net.tables = None  # any per-operation rebuild would now raise
+        directory.publish(joiner, "late")
+        assert directory.query(ids[0], "late") == {joiner}
+        directory.publish(ids[1], "early")
+        assert directory.query(joiner, "early") == {ids[1]}
+
     def test_republish_drops_departed_holders(self):
         space, ids, net = network(n=20, seed=6)
         directory = ObjectDirectory(net)

@@ -94,3 +94,71 @@ class TestOracle:
             t1[node].snapshot() != t2[node].snapshot() for node in ids
         )
         assert differs
+
+
+def _spec_tables(ids, rng):
+    """Definition 3.8 by the book: per owner, level, digit (ascending),
+    the suffix set listed in ``ids`` order; the owner where its own
+    digit leads, else one ``randrange`` draw into the set (the smallest
+    member without an ``rng``)."""
+    entries = {}
+    for owner in ids:
+        for level in range(owner.num_digits):
+            for digit in range(owner.base):
+                wanted = owner.suffix(level) + (digit,)
+                eligible = [node for node in ids if node.has_suffix(wanted)]
+                if not eligible:
+                    continue
+                if digit == owner.digit(level):
+                    pick = owner
+                elif rng is None:
+                    pick = min(eligible)
+                else:
+                    pick = eligible[rng.randrange(len(eligible))]
+                entries[owner, level, digit] = pick
+    return entries
+
+
+class TestOracleAgainstSpec:
+    """Fixed-seed networks are part of every recorded fingerprint: the
+    builder must keep consuming the ``rng`` exactly as the book version
+    does, whatever index it buckets the suffix sets with."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("randomized", [True, False])
+    def test_entries_states_and_reverse_sets(self, seed, randomized):
+        space = IdSpace(4, 5) if seed else IdSpace(16, 3)
+        ids = space.random_unique_ids(70, random.Random(seed))
+        rng, spec_rng = (
+            (random.Random(f"{seed}-oracle"), random.Random(f"{seed}-oracle"))
+            if randomized
+            else (None, None)
+        )
+        tables = build_consistent_tables(ids, rng)
+        spec = _spec_tables(ids, spec_rng)
+        if randomized:
+            assert rng.getstate() == spec_rng.getstate()
+        reverse = {}
+        for (owner, level, digit), pick in spec.items():
+            if pick != owner:
+                reverse.setdefault((pick, level, digit), set()).add(owner)
+        for owner in ids:
+            table = tables[owner]
+            assert {
+                (owner, e.level, e.digit): e.node for e in table.entries()
+            } == {key: v for key, v in spec.items() if key[0] == owner}
+            assert all(e.state is NeighborState.S for e in table.entries())
+            assert {
+                (owner, level, digit): table.reverse_neighbors(level, digit)
+                for level, digit in table.reverse_positions()
+            } == {key: v for key, v in reverse.items() if key[0] == owner}
+
+    def test_entries_pointing_at_one_node_are_one_object(self):
+        space = IdSpace(4, 5)
+        ids = space.random_unique_ids(60, random.Random(3))
+        tables = build_consistent_tables(ids, random.Random(3))
+        seen = {}
+        for table in tables.values():
+            for entry in table.entries():
+                first = seen.setdefault((entry.node, entry.level), entry)
+                assert entry is first

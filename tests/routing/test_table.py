@@ -156,3 +156,51 @@ class TestIterationAndSnapshots:
         assert "21233" in rendering
         assert "01100" in rendering
         assert "level 0" in rendering
+
+
+class TestReverseBucketsActLikeSets:
+    """Reverse neighbors are stored as tuples while small and untouched
+    by removals, as sets otherwise; the sets the table hands out are
+    iterated by senders, so they must come out in the order one real
+    ``set`` per bucket (the model below) would produce, not merely be
+    equal to it."""
+
+    def test_same_sets_in_the_same_order_as_a_set_per_bucket(self):
+        import random
+
+        space = IdSpace(4, 4)
+        for seed in range(60):
+            rng = random.Random(seed)
+            pool = space.random_unique_ids(40, rng)
+            owner = pool.pop()
+            table = NeighborTable(owner)
+            model = {}
+            for _ in range(rng.randrange(1, 150)):
+                node = rng.choice(pool)
+                position = (rng.randrange(2), rng.randrange(4))
+                roll = rng.random()
+                if roll < 0.7:
+                    table.add_reverse(*position, node)
+                    model.setdefault(position, set()).add(node)
+                elif roll < 0.9:
+                    table.remove_reverse(*position, node)
+                    if position in model:
+                        model[position].discard(node)
+                        if not model[position]:
+                            del model[position]
+                else:
+                    table.remove_reverse_everywhere(node)
+                    for key in list(model):
+                        model[key].discard(node)
+                        if not model[key]:
+                            del model[key]
+                assert table.reverse_positions() == sorted(model)
+                for key, bucket in model.items():
+                    assert list(table.reverse_neighbors(*key)) == list(
+                        set(bucket)
+                    )
+                everyone = set()
+                for bucket in model.values():
+                    everyone |= bucket
+                everyone.discard(owner)
+                assert list(table.all_reverse_neighbors()) == list(everyone)

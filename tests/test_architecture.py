@@ -197,3 +197,63 @@ class TestOneControlServer:
             and re.search(r"\brsp_frame\b", path.read_text(encoding="utf-8"))
         ]
         assert not offenders, offenders
+
+
+class TestOneSuffixClassIndex:
+    """The oracle constructor and both Definition 3.8 checkers bucket
+    one membership by suffix; they do it through one index."""
+
+    USERS = (
+        "repro.routing.oracle",
+        "repro.consistency.checker",
+        "repro.consistency.incremental",
+    )
+
+    def test_oracle_and_checkers_share_the_packed_index(self):
+        for name in self.USERS:
+            path = _module_file(name)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {
+                (node.module, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+            assert ("repro.ids.packed", "SuffixClassIndex") in imported, name
+            # No tuple-keyed SuffixIndex (nor anything else of its module).
+            assert not [m for m, _ in imported if m == "repro.ids.suffix"], name
+            called = {
+                node.func.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+            }
+            assert "SuffixIndex" not in called, name
+
+
+class TestNoNumpy:
+    def test_no_source_file_imports_numpy(self):
+        offenders = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            if re.search(
+                r"^\s*(import|from)\s+numpy\b",
+                path.read_text(encoding="utf-8"),
+                re.MULTILINE,
+            )
+        ]
+        assert not offenders, offenders
+
+    def test_auditor_import_loads_no_numpy(self):
+        """The auditor reaches the Theorem 4/5 arithmetic; every daemon,
+        worker and benchmark cycle used to pay ~0.1 s and ~16 MiB for
+        the array library behind one branch of it."""
+        code = (
+            "import sys; import repro.obs.audit, repro.cli; "
+            "assert 'numpy' not in sys.modules"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
