@@ -1,26 +1,16 @@
-"""Wire codec for sweep tasks and results.
+"""Wire codec for sweep tasks and results: the task dialect of the
+one value codec.
 
 The :class:`~repro.exec.remote.RemoteBackend` ships task configs to
 ``repro worker`` daemons and results back over UDP, so every campaign
-config/result type must round-trip through JSON.  This module extends
-the tagged value encoding of :mod:`repro.runtime.codec` -- which
-covers the *protocol* value types (NodeIds, enums, tuples, frozensets)
--- with the container and record shapes experiment campaigns use:
-
-* lists (``{"$li": [...]}``) and string-or-value-keyed dicts
-  (``{"$map": [[k, v], ...]}``, order-preserving);
-* registered dataclasses (``{"$dc": [name, {field: value, ...}]}``) --
-  the campaign configs (:class:`~repro.experiments.fig15b.Fig15bConfig`,
-  :class:`~repro.experiments.parallel.JoinTaskConfig`,
-  :class:`~repro.experiments.churn.ChurnConfig`, ...) and their result
-  records;
-* registered enums beyond the protocol's own
-  (:class:`~repro.protocol.sizing.SizingPolicy`).
-
-Decoding rebuilds dataclasses through their ``__init__``, so a decoded
-config equals (``==``) the original and a task run from its decoded
-clone produces the identical result -- the property the cross-backend
-equality tests pin.
+config/result type must round-trip through JSON.
+:class:`repro.runtime.codec.ValueCodec` covers scalars, NodeIds,
+enums, tuples and frozensets; this subclass adds lists (``{"$li":
+[...]}``), order-preserving dicts (``{"$map": [[k, v], ...]}``),
+registered dataclasses (``{"$dc": [name, {field: value, ...}]}`` --
+the campaign configs and their result records, rebuilt through
+``__init__`` so a decoded config ``==`` the original) and one more
+enum (:class:`~repro.protocol.sizing.SizingPolicy`).
 
 The registries are explicit allowlists (name -> defining module),
 resolved lazily so importing the engine never drags in the experiment
@@ -31,15 +21,9 @@ type name, which is the extension point's error message.
 from __future__ import annotations
 
 import dataclasses
-import enum
-import importlib
 from typing import Any, Dict
 
-from repro.runtime.codec import (
-    CodecError,
-    decode_value as _protocol_decode,
-    encode_value as _protocol_encode,
-)
+from repro.runtime.codec import CodecError, ValueCodec, resolve_type
 
 
 class TaskCodecError(CodecError):
@@ -61,98 +45,59 @@ TASK_DATACLASSES: Dict[str, str] = {
 }
 
 #: Enums allowed on the sweep wire beyond the protocol codec's own.
-TASK_ENUMS: Dict[str, str] = {
-    "SizingPolicy": "repro.protocol.sizing",
-}
+TASK_ENUMS: Dict[str, str] = {"SizingPolicy": "repro.protocol.sizing"}
 
 
-def _resolve(registry: Dict[str, str], name: str) -> type:
-    module = importlib.import_module(registry[name])
-    return getattr(module, name)
+class _TaskCodec(ValueCodec):
+    """The protocol dialect plus lists, dicts and dataclasses."""
 
+    enums = {**ValueCodec.enums, **TASK_ENUMS}
+    error = TaskCodecError
 
-def encode_task_value(value: Any) -> Any:
-    """Encode one task/result value into its JSON-ready tagged form."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, enum.Enum):
-        name = type(value).__name__
-        if name in TASK_ENUMS:
-            return {"$en": [name, value.value]}
-        return _protocol_encode(value)  # protocol enums keep their form
-    if isinstance(value, list):
-        return {"$li": [encode_task_value(v) for v in value]}
-    if isinstance(value, tuple):
-        return {"$tu": [encode_task_value(v) for v in value]}
-    if isinstance(value, dict):
-        return {
-            "$map": [
-                [encode_task_value(k), encode_task_value(v)]
-                for k, v in value.items()
-            ]
-        }
-    if isinstance(value, frozenset):
-        encoded = [encode_task_value(v) for v in value]
-        encoded.sort(key=repr)  # deterministic wire form
-        return {"$fs": encoded}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        if name not in TASK_DATACLASSES:
-            raise TaskCodecError(
-                f"dataclass {name} is not registered in "
-                f"repro.exec.taskcodec.TASK_DATACLASSES"
-            )
-        return {
-            "$dc": [
-                name,
-                {
-                    field.name: encode_task_value(getattr(value, field.name))
-                    for field in dataclasses.fields(value)
-                },
-            ]
-        }
-    try:
-        return _protocol_encode(value)  # NodeId and friends
-    except CodecError:
-        raise TaskCodecError(
-            f"cannot encode task value of type {type(value).__name__}: "
-            f"{value!r}"
-        ) from None
+    def encode_other(self, value: Any) -> Any:
+        """Lists, dicts and allow-listed dataclasses."""
+        encode = self.encode
+        if isinstance(value, list):
+            return {"$li": [encode(v) for v in value]}
+        if isinstance(value, dict):
+            return {"$map": [[encode(k), encode(v)] for k, v in value.items()]}
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            name = type(value).__name__
+            if name not in TASK_DATACLASSES:
+                raise TaskCodecError(
+                    f"dataclass {name} is not registered in "
+                    f"repro.exec.taskcodec.TASK_DATACLASSES"
+                )
+            return {"$dc": [name, {
+                field.name: encode(getattr(value, field.name))
+                for field in dataclasses.fields(value)
+            }]}
+        return super().encode_other(value)
 
-
-def decode_task_value(value: Any) -> Any:
-    """Decode one JSON value back into its task/result object (the
-    inverse of :func:`encode_task_value`)."""
-    if not isinstance(value, dict):
-        return value
-    if "$li" in value:
-        return [decode_task_value(v) for v in value["$li"]]
-    if "$tu" in value:
-        return tuple(decode_task_value(v) for v in value["$tu"])
-    if "$map" in value:
-        return {
-            decode_task_value(k): decode_task_value(v)
-            for k, v in value["$map"]
-        }
-    if "$fs" in value:
-        return frozenset(decode_task_value(v) for v in value["$fs"])
-    if "$dc" in value:
-        name, fields = value["$dc"]
+    def _dataclass(self, body: Any) -> Any:
+        name, fields = body
         try:
-            cls = _resolve(TASK_DATACLASSES, name)
+            cls = resolve_type(TASK_DATACLASSES[name], name)
         except (KeyError, AttributeError, ImportError):
             raise TaskCodecError(
                 f"unknown dataclass on the sweep wire: {name}"
             ) from None
-        return cls(
-            **{key: decode_task_value(v) for key, v in fields.items()}
-        )
-    if "$en" in value:
-        name, member = value["$en"]
-        if name in TASK_ENUMS:
-            return _resolve(TASK_ENUMS, name)(member)
-        return _protocol_decode(value)
-    return _protocol_decode(value)
+        return cls(**{key: self.decode(v) for key, v in fields.items()})
+
+    tags = {
+        **ValueCodec.tags,
+        "$li": lambda self, body: [self.decode(v) for v in body],
+        "$map": lambda self, body: {
+            self.decode(k): self.decode(v) for k, v in body
+        },
+        "$dc": _dataclass,
+    }
+
+
+#: One task/result value into its JSON-ready tagged form, and back
+#: (the codec is stateless: an instance is just its dialect).
+encode_task_value = _TaskCodec().encode
+decode_task_value = _TaskCodec().decode
 
 
 __all__ = [

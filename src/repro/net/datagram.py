@@ -205,6 +205,10 @@ class DatagramTransport:
         self.counters: Dict[str, int] = {
             "datagrams_sent": 0,
             "datagrams_received": 0,
+            # Bytes handed to / read off the socket (the abstract
+            # Section 6.2 sizes live in ``stats.total_bytes``).
+            "wire_bytes_sent": 0,
+            "wire_bytes_received": 0,
             "retransmits": 0,
             "gave_up": 0,
             "duplicates_suppressed": 0,
@@ -428,10 +432,12 @@ class DatagramTransport:
             return
         if self.faults is None:
             self.counters["datagrams_sent"] += 1
+            self.counters["wire_bytes_sent"] += len(data)
             self._endpoint.sendto(data, addr)
             return
         for delay in self.faults.transmissions(type_name):
             self.counters["datagrams_sent"] += 1
+            self.counters["wire_bytes_sent"] += len(data)
             if delay <= 0.0:
                 self._endpoint.sendto(data, addr)
             else:
@@ -569,6 +575,7 @@ class DatagramTransport:
         # harness's measurement channel, not the system under test.
         if self._endpoint is not None:
             self.counters["datagrams_sent"] += 1
+            self.counters["wire_bytes_sent"] += len(data)
             self._endpoint.sendto(data, addr)
 
     def _on_control_timeout(self, rid: int) -> None:
@@ -592,6 +599,7 @@ class DatagramTransport:
 
     def _on_datagram(self, data: bytes, addr: Address) -> None:
         self.counters["datagrams_received"] += 1
+        self.counters["wire_bytes_received"] += len(data)
         try:
             frame = decode_frame(data)
             kind = frame["k"]

@@ -3,10 +3,13 @@
 Polls the rendezvous ``directory`` for the roster, then each daemon's
 ``status`` control op, and renders one refreshing table::
 
-    NODE      STATUS     S  TABLE  UNACKED  RETX  DEDUP  RTT-MS  NOW
-    0112      in_system  *     12        0     0      0     0.4  812.0
-    2330      waiting          4         2     1      0     0.7  640.5
-    77a1      wrk-idle         -         0     0      0     0.3  15.2
+    NODE      STATUS     S  TABLE  UNACKED  RETX  DEDUP  TX-B     RX-B     RTT-MS  NOW
+    0112      in_system  *  12     0        0     0      20917    18344    0.4     812.0
+    2330      waiting       4      2        1     0      1203     2210     0.7     640.5
+    77a1      wrk-idle      -      0        0     0      -        -        0.3     15.2
+
+``TX-B`` / ``RX-B`` are the bytes the daemon's transport has handed to
+and read off its socket (every frame kind, retransmissions included).
 
 ``RTT-MS`` is measured by the poller itself (request round trip), so
 the view needs no telemetry enabled on the daemons -- ``status`` is
@@ -45,6 +48,8 @@ _COLUMNS = (
     ("UNACKED", 8),
     ("RETX", 5),
     ("DEDUP", 6),
+    ("TX-B", 8),
+    ("RX-B", 8),
     ("RTT-MS", 7),
     ("NOW", 10),
 )
@@ -80,6 +85,8 @@ def poll_cluster(
                 "retransmitted", net.get("retransmits", 0)
             ),
             deduped=wire.get("deduped", net.get("duplicates_suppressed", 0)),
+            tx_bytes=net.get("wire_bytes_sent"),
+            rx_bytes=net.get("wire_bytes_received"),
             rtt_ms=rtt_ms,
             now=status.get("now", 0.0),
             telemetry=bool(status.get("telemetry")),
@@ -114,6 +121,8 @@ def render_rows(rows: List[Dict[str, Any]]) -> str:
             row.get("unacked"),
             row.get("retransmits"),
             row.get("deduped"),
+            row.get("tx_bytes"),
+            row.get("rx_bytes"),
             row.get("rtt_ms"),
             row.get("now"),
         )

@@ -4,15 +4,12 @@ One UDP datagram carries exactly one *frame*: a compact JSON object
 whose ``k`` key names the frame kind.  Four kinds cover the whole
 deployment tier:
 
-``m``  a protocol message (the :mod:`repro.runtime.codec` envelope is
+``m``  a protocol message (the :mod:`repro.runtime.codec` envelope,
        embedded verbatim under ``m``) with a per-sender sequence
        number ``s`` -- the unit of the transport's ack/retransmit
-       reliability.  When telemetry is on, the envelope includes the
-       causal ids (``msg_id`` / ``parent_id`` / ``trace_id``) the
-       sending transport stamped, so the receiver records deliveries
-       against the *sender's* message identity and cross-process
-       causal trees reconstruct; with telemetry off the ids are
-       simply absent from the frame (decoders default them to null);
+       reliability.  With telemetry on the envelope carries the causal
+       ids the sending transport stamped, so cross-process causal
+       trees reconstruct; with it off they are simply absent;
 ``a``  an acknowledgment of sequence number ``s``;
 ``c``  a control request (``op`` + body ``b``, request id ``r``) --
        the small out-of-band protocol the node daemon, the rendezvous
@@ -20,33 +17,31 @@ deployment tier:
        the protocol traffic;
 ``r``  a control response (echoing request id ``r``).
 
-Framing reuses the codec's dict-level API (:func:`message_to_obj`)
-so a protocol message is JSON-encoded exactly once, and the codec's
-:data:`~repro.runtime.codec.MAX_DATAGRAM_BYTES` ceiling is enforced
-on the *frame* -- the thing that actually hits the wire -- rather
-than the bare message.
+A frame embeds the codec's envelope *object* and both go through the
+codec's :func:`~repro.runtime.codec.dump_wire`, so a message is
+JSON-encoded exactly once and the datagram ceiling applies to the
+*frame* -- the thing that actually hits the wire.
 
-Control bodies may carry protocol values (node IDs, whole neighbor
-tables) using the codec's tagged value encoding, so a harness can
-reconstruct real :class:`~repro.routing.table.NeighborTable` objects
-from remote snapshots and run the Definition 3.8 checker on them.
+Control bodies may carry protocol values in the codec's tagged forms
+(a whole neighbor table travels as the same flat ``$ts`` snapshot a
+``CpRlyMsg`` carries), so a harness can rebuild real
+:class:`~repro.routing.table.NeighborTable` objects from remote
+snapshots and run the Definition 3.8 checker on them.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional, Tuple
 
 from repro.ids.digits import NodeId
 from repro.network.message import Message
-from repro.routing.entry import NeighborState
 from repro.routing.table import NeighborTable
 from repro.runtime.codec import (
-    MAX_DATAGRAM_BYTES,
     MalformedWireError,
-    OversizedMessageError,
     decode_value,
+    dump_wire,
     encode_value,
+    load_wire,
     message_from_obj,
     message_to_obj,
 )
@@ -54,31 +49,18 @@ from repro.runtime.codec import (
 #: Frame kinds.
 MSG, ACK, CTL, RSP = "m", "a", "c", "r"
 
-_KINDS = frozenset((MSG, ACK, CTL, RSP))
+_KINDS = (MSG, ACK, CTL, RSP)  # a tuple: ``in`` must not hash a bad ``k``
 
 
 def encode_frame(frame: Dict[str, Any]) -> bytes:
     """Serialize a frame dict to its UTF-8 datagram, enforcing the
     UDP payload ceiling."""
-    data = json.dumps(
-        frame, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    if len(data) > MAX_DATAGRAM_BYTES:
-        raise OversizedMessageError(
-            f"frame kind {frame.get('k')!r} encodes to {len(data)} bytes "
-            f"(> {MAX_DATAGRAM_BYTES})"
-        )
-    return data
+    return dump_wire(frame, f"frame kind {frame.get('k')!r}")
 
 
 def decode_frame(data: bytes) -> Dict[str, Any]:
     """Parse one datagram into its frame dict (kind-checked)."""
-    try:
-        frame = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise MalformedWireError(
-            f"undecodable frame ({len(data)} bytes): {exc}"
-        ) from exc
+    frame = load_wire(data, "frame")
     if not isinstance(frame, dict) or frame.get("k") not in _KINDS:
         raise MalformedWireError(f"not a frame: {data[:80]!r}")
     return frame
@@ -113,7 +95,7 @@ def rsp_frame(rid: int, body: Dict[str, Any]) -> Dict[str, Any]:
 
 def frame_message(frame: Dict[str, Any]) -> Message:
     """The protocol message embedded in an ``m`` frame."""
-    return message_from_obj(frame["m"])
+    return message_from_obj(frame.get("m"))
 
 
 # -- addresses --------------------------------------------------------------
@@ -162,11 +144,7 @@ def table_to_wire(table: NeighborTable) -> Dict[str, Any]:
     payload of the control protocol's ``table`` response)."""
     return {
         "owner": encode_value(table.owner),
-        "entries": [
-            [entry.level, entry.digit, encode_value(entry.node),
-             entry.state.value]
-            for entry in table.snapshot()
-        ],
+        "entries": encode_value(table.snapshot()),
     }
 
 
@@ -175,16 +153,10 @@ def table_from_wire(obj: Dict[str, Any]) -> NeighborTable:
     result carries forward entries only (reverse-neighbor records stay
     node-local), which is everything the Definition 3.8 checker reads."""
     try:
-        owner = node_id_from_wire(obj["owner"])
-        table = NeighborTable(owner)
-        for level, digit, node_obj, state in obj["entries"]:
-            table.set_entry(
-                level, digit, node_id_from_wire(node_obj),
-                NeighborState(state),
-            )
+        table = NeighborTable(node_id_from_wire(obj["owner"]))
+        for entry in decode_value(obj["entries"]):
+            table.set_entry(*entry)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, MalformedWireError):
-            raise
         raise MalformedWireError(f"bad table snapshot: {exc}") from exc
     return table
 

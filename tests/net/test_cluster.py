@@ -83,6 +83,8 @@ class TestClusterSmoke:
         )
         # Wire counters surfaced through status into the report.
         assert "clean_wire" in report
+        assert report["net"]["wire_bytes_received"] > 0
+        assert report["net"]["wire_bytes_sent"] > 0
 
     def test_multiprocess_joins_with_loss(self):
         report = run_cluster(

@@ -180,6 +180,10 @@ class TestUnsolicitedFrames:
         def push_later(sock, data, addr):
             time.sleep(0.05)
             sock.sendto(b"not a frame", addr)
+            # Well-formed JSON the client used to die of: an unhashable
+            # frame kind (TypeError) and nesting past the recursion limit.
+            sock.sendto(b'{"k":["c"],"op":"done","r":0,"b":{}}', addr)
+            sock.sendto(b"[" * 30000, addr)
             sock.sendto(encode_frame(rsp_frame(99, {})), addr)  # stale
             sock.sendto(done_frame("n-1"), addr)
 

@@ -109,6 +109,7 @@ class TestLivePoll:
                     "sent": 17, "retransmitted": 1, "deduped": 2,
                     "acked": 17, "gave_up": 0, "unacked": 0,
                 },
+                "net": {"wire_bytes_sent": 20917, "wire_bytes_received": 344},
             }
         )
         # A registered-but-gone daemon: announces, then its socket dies.
@@ -139,6 +140,7 @@ class TestLivePoll:
                 assert live["s"] is True
                 assert live["retransmits"] == 1
                 assert live["deduped"] == 2
+                assert (live["tx_bytes"], live["rx_bytes"]) == (20917, 344)
                 assert live["rtt_ms"] >= 0.0
                 assert by_node["2330"]["status"] == "unreachable"
 
@@ -151,6 +153,7 @@ class TestLivePoll:
                 text = out.getvalue()
                 assert text.count("repro top --") == 2
                 assert "0123" in text and "in_system" in text
+                assert "TX-B" in text and "20917" in text
                 # Not a TTY: no clear codes, samples just append.
                 assert "\x1b" not in text
         finally:

@@ -199,6 +199,21 @@ class TestOneControlServer:
         assert not offenders, offenders
 
 
+class TestOneValueCodec:
+    def test_value_forms_are_spelled_in_one_module(self):
+        """The tagged value forms live once, in
+        :class:`repro.runtime.codec.ValueCodec`; the sweep-task dialect
+        extends it (``$li`` / ``$map`` / ``$dc``) and must not spell
+        the shared tags again."""
+        for tag in ('"$tu"', '"$fs"', '"$en"'):
+            users = [
+                str(path.relative_to(SRC))
+                for path in sorted(SRC.rglob("*.py"))
+                if tag in path.read_text(encoding="utf-8")
+            ]
+            assert users == ["repro/runtime/codec.py"], (tag, users)
+
+
 class TestOneSuffixClassIndex:
     """The oracle constructor and both Definition 3.8 checkers bucket
     one membership by suffix; they do it through one index."""
