@@ -1,15 +1,14 @@
-"""Core simulation speed: hot-path gains and process fan-out scaling.
+"""Core simulation speed: hot-path throughput and process fan-out scaling.
 
 Two gates, recorded together in ``BENCH_core_speed.json`` at the repo
 root (the perf-trajectory artifact the ROADMAP asks for):
 
-1. **Hot path** -- the concurrent-join workload runs against the
-   pre-optimization reference implementations (restored in-process by
-   :func:`repro.perf.use_pre_pr_hot_path`) and against the current
-   code, alternating rounds, min-of-rounds.  The optimized run must be
-   at least 1.25x faster *and* produce byte-identical message counts
-   and final consistency -- the optimizations must be invisible to the
-   simulation semantics.
+1. **Hot path** -- the concurrent-join workload runs seven times,
+   min-of-rounds in process time, and must clear an absolute
+   events/sec floor while every run ends consistent with every joiner
+   in system and identical message counts.  (That the hot paths keep
+   the simulation's semantics is pinned separately, by the recorded
+   whole-run fingerprints in ``tests/perf/test_hot_path_semantics.py``.)
 
 2. **Fan-out** -- an 8-seed Figure 15(b) sweep at ``--jobs 1`` vs
    ``--jobs 4`` through :mod:`repro.experiments.parallel`.  Per-seed
@@ -27,19 +26,17 @@ import time
 from repro.experiments.fig15b import Fig15bConfig
 from repro.experiments.sweep import sweep_fig15b
 from repro.experiments.workloads import SMALL_TOPOLOGY, make_workload
-from repro.perf import use_pre_pr_hot_path
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_core_speed.json"
 
 BASE, DIGITS, N, M, SEED = 16, 8, 400, 120, 21
 HOT_PATH_ROUNDS = 7
-HOT_PATH_MIN_SPEEDUP = 1.25
 
 #: Events/sec recorded by the previous optimization pass on the
 #: reference CI box (BENCH_core_speed.json as of the sans-io PR).
 REFERENCE_EVENTS_PER_SEC = 18_478
-#: Absolute-throughput gate: the optimized hot path must clear
+#: Absolute-throughput gate: the hot path must clear
 #: ``MIN_EVENTS_RATIO x REFERENCE_EVENTS_PER_SEC``.  The reference was
 #: recorded on one specific machine, so the ratio is env-overridable
 #: (``REPRO_MIN_EVENTS_RATIO``, set to ``0`` to record without gating)
@@ -113,51 +110,40 @@ def test_core_speed_gates():
         },
     }
 
-    # -- Gate 1: hot-path speedup, alternating rounds ------------------
+    # -- Gate 1: hot-path throughput, min of rounds --------------------
     _run_join_workload()  # warm-up: imports, allocator, branch caches
-    baseline_times, optimized_times = [], []
-    nets = {}
+    times, counts = [], set()
     for _ in range(HOT_PATH_ROUNDS):
-        # Collect between legs so each one starts from the same heap
+        # Collect between rounds so each one starts from the same heap
         # state: without this, gen-2 collections triggered by the
-        # *previous* leg's garbage land in arbitrary rounds and make
+        # *previous* round's garbage land in arbitrary rounds and make
         # the distribution bimodal (~40% swings observed).  GC stays
         # enabled during the timed region itself.
         gc.collect()
-        with use_pre_pr_hot_path():
-            elapsed, nets["pre_pr"] = _time_join()
-        baseline_times.append(elapsed)
-        gc.collect()
-        elapsed, nets["optimized"] = _time_join()
-        optimized_times.append(elapsed)
+        elapsed, net = _time_join()
+        times.append(elapsed)
+        counts.add(tuple(sorted(net.stats.snapshot().items())))
 
-    # Same seed, so the optimizations must change nothing observable.
-    assert (
-        nets["pre_pr"].stats.snapshot() == nets["optimized"].stats.snapshot()
-    )
-    assert nets["optimized"].check_consistency().consistent
-    assert nets["optimized"].all_in_system()
+    # Same seed every round, so every round must send the same messages.
+    assert len(counts) == 1
+    assert net.check_consistency().consistent
+    assert net.all_in_system()
 
-    baseline = min(baseline_times)
-    optimized = min(optimized_times)
-    speedup = baseline / optimized
-    events = nets["optimized"].simulator.events_fired
-    events_per_sec = events / optimized
+    best_s = min(times)
+    events = net.simulator.events_fired
+    events_per_sec = events / best_s
     events_ratio = events_per_sec / REFERENCE_EVENTS_PER_SEC
     record["hot_path"] = {
         "rounds": HOT_PATH_ROUNDS,
         "timer": "process_time",
-        "pre_pr_s": round(baseline, 4),
-        "optimized_s": round(optimized, 4),
-        "speedup": round(speedup, 3),
-        "min_speedup": HOT_PATH_MIN_SPEEDUP,
+        "optimized_s": round(best_s, 4),
         "events_fired": events,
         "events_per_sec": round(events_per_sec),
         "reference_events_per_sec": REFERENCE_EVENTS_PER_SEC,
         "events_ratio": round(events_ratio, 3),
         "min_events_ratio": MIN_EVENTS_RATIO,
-        "joins_per_sec": round(M / optimized, 1),
-        "total_messages": nets["optimized"].stats.total_messages,
+        "joins_per_sec": round(M / best_s, 1),
+        "total_messages": net.stats.total_messages,
     }
 
     # -- Gate 2: fan-out scaling on the 8-seed sweep -------------------
@@ -184,11 +170,6 @@ def test_core_speed_gates():
     }
     OUTPUT.write_text(json.dumps(record, indent=2) + "\n")
 
-    assert speedup >= HOT_PATH_MIN_SPEEDUP, (
-        f"hot-path speedup {speedup:.3f}x below the "
-        f"{HOT_PATH_MIN_SPEEDUP}x gate (pre-PR {baseline:.3f}s, "
-        f"optimized {optimized:.3f}s)"
-    )
     if MIN_EVENTS_RATIO > 0:
         assert events_ratio >= MIN_EVENTS_RATIO, (
             f"events/sec {events_per_sec:.0f} is only "

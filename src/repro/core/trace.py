@@ -6,8 +6,7 @@ large Figure-15 runs pay nothing for categories they do not record.
 
 This lives in :mod:`repro.core` because the records are *protocol*
 facts -- a status change at protocol time ``t`` -- independent of which
-runtime produced them; :mod:`repro.sim.trace` re-exports these names
-for compatibility.
+runtime produced them.
 """
 
 from __future__ import annotations

@@ -166,6 +166,8 @@ class LeaveProtocolMixin:
     def _on_leave_notify(self, msg: LeaveNotifyMsg) -> None:
         from repro.routing.entry import NeighborState
 
+        if not self.table.has_position(msg.level, msg.digit):
+            return  # malformed: names no cell of ours
         if self._backups is not None:
             self._backups.discard(msg.sender)
         current = self.table.get(msg.level, msg.digit)

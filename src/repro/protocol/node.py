@@ -66,12 +66,6 @@ from repro.routing.backups import BackupStore
 from repro.routing.entry import NeighborState
 from repro.routing.table import NeighborTable, TableSnapshot
 
-#: The array backend under a private name: the fast-path guards below
-#: must keep pointing at the real class even while
-#: :func:`repro.perf.baseline.use_dict_tables` rebinds this module's
-#: ``NeighborTable`` global to the dict backend.
-_ARRAY_TABLE = NeighborTable
-
 
 class ProtocolError(RuntimeError):
     """An execution reached a state the protocol proofs rule out."""
@@ -286,28 +280,17 @@ class ProtocolNode(
         # (i, x[i])-neighbor of x is chosen to be x itself"), so copying
         # it would only generate a RvNghNotiMsg for a pointer that never
         # survives.  Its occupant -- the paper's next g -- is read from
-        # the snapshot below.
+        # the snapshot below.  Emptiness is a direct cell read (the
+        # loop touches every entry of the sender's table per level).
         table = self.table
-        if table.__class__ is _ARRAY_TABLE:
-            # Array-backend fast path: emptiness is a direct cell read
-            # (the snapshot loop touches every entry of the sender's
-            # table once per copy level).
-            cells = table._cells
-            row = level * table.base
-            for entry in msg.table:
-                if entry[0] != level:
-                    continue
-                digit = entry[1]
-                if digit != own_digit and cells[row + digit] is None:
-                    self._fill_entry(level, digit, entry[2], entry[3])
-        else:
-            for entry in msg.table:
-                if entry.level != level or entry.digit == own_digit:
-                    continue
-                if table.is_empty(level, entry.digit):
-                    self._fill_entry(
-                        level, entry.digit, entry.node, entry.state
-                    )
+        cells = table._cells
+        row = level * table.base
+        for entry in msg.table:
+            if entry[0] != level:
+                continue
+            digit = entry[1]
+            if digit != own_digit and cells[row + digit] is None:
+                self._fill_entry(level, digit, entry[2], entry[3])
         p = msg.sender
         cell = snapshot_entry(msg.table, level, own_digit)
         g, s = cell if cell is not None else (None, None)
@@ -394,74 +377,38 @@ class ProtocolNode(
 
     def _check_ngh_table(self, snapshot: TableSnapshot) -> None:
         # The hottest protocol loop: every table-carrying message lands
-        # here, iterating the sender's whole snapshot.  On the standard
-        # array table backend the whole per-entry decision runs as int
-        # arithmetic on the packed ID forms: the XOR of the packed IDs
-        # gives csuf directly (lowest set bit / digit width), a shift
-        # extracts the digit, and the flat cell index follows -- no
-        # NodeId method calls, no tuple keys.  Loop-invariant lookups
-        # are bound once; none of them can change inside the loop
-        # (status and noti_level only move in message handlers, and
-        # q_notified is the same set _send_join_noti mutates).
-        own_id = self.node_id
+        # here, iterating the sender's whole snapshot.  The whole
+        # per-entry decision runs as int arithmetic on the packed ID
+        # forms: the XOR of the packed IDs gives csuf directly (lowest
+        # set bit / digit width), a shift extracts the digit, and the
+        # flat cell index follows -- no NodeId method calls, no tuple
+        # keys.  Loop-invariant lookups are bound once; none of them can
+        # change inside the loop (status and noti_level only move in
+        # message handlers, and q_notified is the same set
+        # _send_join_noti mutates).
         notifying = self.status is NodeStatus.NOTIFYING
         noti_level = self.noti_level
         # Q_n is consulted while notifying only; members that merely
         # receive a table must not grow queues by being asked.
         q_notified = self.q_notified if notifying else ()
         table = self.table
-        if table.__class__ is _ARRAY_TABLE:
-            own_packed = own_id._packed
-            base = table.base
-            cells = table._cells
-            # The backup-offer body is inlined below (it fires for
-            # every already-filled entry, the overwhelmingly common
-            # case once the network densifies); keep it in lockstep
-            # with BackupStore.offer_flat.
-            backups = self.backups
-            bstore = backups._backups
-            bcap = backups.capacity
-            w = PACKED_DIGIT_BITS
-            mask = PACKED_DIGIT_MASK
-            lowbit_k = _LOWBIT_K
-            if not notifying:
-                # Non-notifying variant: identical body minus the
-                # (loop-invariant-guarded) notification step, so the
-                # common copying/in-system case pays nothing for it.
-                for entry in snapshot:
-                    u = entry[2]
-                    up = u._packed
-                    z = up ^ own_packed
-                    if z == 0:
-                        continue
-                    if z & mask:
-                        # csuf = 0 (lowest digits differ): with random
-                        # IDs this is (b-1)/b of all entries.
-                        k = 0
-                        digit = idx = up & mask
-                    else:
-                        try:
-                            k = lowbit_k[z & -z]
-                        except KeyError:
-                            k = ((z & -z).bit_length() - 1) // w
-                        digit = (up >> (k * w)) & mask
-                        idx = k * base + digit
-                    current = cells[idx]
-                    if current is None:
-                        self._fill_entry(k, digit, u, entry[3])
-                    elif current._packed != up:
-                        # Entry taken: keep u as a backup (footnote 6).
-                        # try/except: existing buckets dominate, and a
-                        # plain subscript beats dict.get on hits.
-                        try:
-                            bucket = bstore[idx]
-                        except KeyError:
-                            if bcap >= 1:
-                                bstore[idx] = [u]
-                        else:
-                            if len(bucket) < bcap and u not in bucket:
-                                bucket.append(u)
-                return
+        own_packed = self.node_id._packed
+        base = table.base
+        cells = table._cells
+        # The backup-offer body is inlined below (it fires for every
+        # already-filled entry, the overwhelmingly common case once the
+        # network densifies); keep it in lockstep with
+        # BackupStore.offer_flat.
+        backups = self.backups
+        bstore = backups._backups
+        bcap = backups.capacity
+        w = PACKED_DIGIT_BITS
+        mask = PACKED_DIGIT_MASK
+        lowbit_k = _LOWBIT_K
+        if not notifying:
+            # Non-notifying variant: identical body minus the
+            # (loop-invariant-guarded) notification step, so the
+            # common copying/in-system case pays nothing for it.
             for entry in snapshot:
                 u = entry[2]
                 up = u._packed
@@ -469,6 +416,8 @@ class ProtocolNode(
                 if z == 0:
                     continue
                 if z & mask:
+                    # csuf = 0 (lowest digits differ): with random
+                    # IDs this is (b-1)/b of all entries.
                     k = 0
                     digit = idx = up & mask
                 else:
@@ -483,6 +432,8 @@ class ProtocolNode(
                     self._fill_entry(k, digit, u, entry[3])
                 elif current._packed != up:
                     # Entry taken: keep u as a backup (footnote 6).
+                    # try/except: existing buckets dominate, and a
+                    # plain subscript beats dict.get on hits.
                     try:
                         bucket = bstore[idx]
                     except KeyError:
@@ -491,25 +442,37 @@ class ProtocolNode(
                     else:
                         if len(bucket) < bcap and u not in bucket:
                             bucket.append(u)
-                if k >= noti_level and u not in q_notified:
-                    self._send_join_noti(u, k)
             return
-        # Generic path for alternate backends (DictNeighborTable).
-        csuf = own_id.csuf_len
-        table_get = table.get
-        offer = self.backups.offer
-        for _, _, u, state in snapshot:
-            if u == own_id:
+        for entry in snapshot:
+            u = entry[2]
+            up = u._packed
+            z = up ^ own_packed
+            if z == 0:
                 continue
-            k = csuf(u)
-            digit = u.digit(k)
-            current = table_get(k, digit)
+            if z & mask:
+                k = 0
+                digit = idx = up & mask
+            else:
+                try:
+                    k = lowbit_k[z & -z]
+                except KeyError:
+                    k = ((z & -z).bit_length() - 1) // w
+                digit = (up >> (k * w)) & mask
+                idx = k * base + digit
+            current = cells[idx]
             if current is None:
-                self._fill_entry(k, digit, u, state)
-            elif current != u:
+                self._fill_entry(k, digit, u, entry[3])
+            elif current._packed != up:
                 # Entry taken: keep u as a backup (footnote 6).
-                offer(k, digit, u)
-            if notifying and k >= noti_level and u not in q_notified:
+                try:
+                    bucket = bstore[idx]
+                except KeyError:
+                    if bcap >= 1:
+                        bstore[idx] = [u]
+                else:
+                    if len(bucket) < bcap and u not in bucket:
+                        bucket.append(u)
+            if k >= noti_level and u not in q_notified:
                 self._send_join_noti(u, k)
 
     def _send_join_noti(self, target: NodeId, csuf_len: int) -> None:
@@ -659,8 +622,14 @@ class ProtocolNode(
 
     # ------------------------------------------------------------------
     # RvNghNotiMsg / RvNghNotiRlyMsg (described in Section 4's preamble)
+    #
+    # Positional messages (these three and LeaveNotifyMsg) carry bare
+    # ints off the wire; one naming a cell outside our table is ignored
+    # rather than raised into the runtime.
 
     def _on_rv_ngh_noti(self, msg: RvNghNotiMsg) -> None:
+        if not self.table.has_position(msg.level, msg.digit):
+            return
         self.table.add_reverse(msg.level, msg.digit, msg.sender)
         actual = (
             NeighborState.S if self.status.is_s_node else NeighborState.T
@@ -672,8 +641,12 @@ class ProtocolNode(
             )
 
     def _on_rv_ngh_noti_rly(self, msg: RvNghNotiRlyMsg) -> None:
-        if self.table.get(msg.level, msg.digit) == msg.sender:
+        if (
+            self.table.has_position(msg.level, msg.digit)
+            and self.table.get(msg.level, msg.digit) == msg.sender
+        ):
             self.table.set_state(msg.level, msg.digit, msg.state)
 
     def _on_rv_ngh_drop(self, msg: RvNghDropMsg) -> None:
-        self.table.remove_reverse(msg.level, msg.digit, msg.sender)
+        if self.table.has_position(msg.level, msg.digit):
+            self.table.remove_reverse(msg.level, msg.digit, msg.sender)

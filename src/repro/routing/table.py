@@ -10,13 +10,16 @@ tracks reverse neighbors: ``x`` is a reverse ``(i, j)``-neighbor of
 Storage is a flat ``d*b`` array: cell ``level*b + digit`` holds the
 neighbor (or ``None``) in one list, its state in a parallel
 ``bytearray``, and a sorted list of filled flat indices makes snapshot
-iteration order-deterministic without re-sorting.  Compared with the
-previous ``Dict[(level, digit), (NodeId, state)]`` sparse dict this
-drops per-entry tuple boxes and key hashing from the hot path — at
-100k nodes the tables are the biggest resident structure, and reads
-(``get``) become a single index.  The dict implementation is retained
-as :class:`repro.perf.baseline.DictNeighborTable` for property-testing
-equivalence.
+iteration order-deterministic without re-sorting.  At 100k nodes the
+tables are the biggest resident structure, and reads (``get``) are a
+single index.  This is the only table implementation; its reference
+semantics are the position-keyed model in
+``tests/routing/test_table_spec.py``.
+
+Every mutator validates ``(level, digit)``; an out-of-range position
+would otherwise alias another cell of the flat array.  The reads
+(``get``, ``state``, ``is_empty``) are the routing hot path and leave
+the check to their callers.
 
 The join protocol only ever fills empty entries, and
 :meth:`NeighborTable.set_entry` enforces that (overwriting with a
@@ -106,16 +109,29 @@ class NeighborTable:
     # -- basic access -------------------------------------------------
 
     def get(self, level: int, digit: int) -> Optional[NodeId]:
-        """The paper's ``N_x(i, j)`` (None when the entry is empty)."""
+        """The paper's ``N_x(i, j)`` (None when the entry is empty).
+
+        Unchecked: the caller guarantees :meth:`has_position`.
+        """
         return self._cells[level * self.base + digit]
 
     def state(self, level: int, digit: int) -> Optional[NeighborState]:
-        """``N_x(i, j).state``, or None when the entry is empty."""
+        """``N_x(i, j).state``, or None when the entry is empty.
+
+        Unchecked: the caller guarantees :meth:`has_position`.
+        """
         return _STATE_FROM_CODE[self._states[level * self.base + digit]]
 
     def is_empty(self, level: int, digit: int) -> bool:
-        """True iff the ``(level, digit)``-entry is unfilled."""
+        """True iff the ``(level, digit)``-entry is unfilled.
+
+        Unchecked: the caller guarantees :meth:`has_position`.
+        """
         return self._cells[level * self.base + digit] is None
+
+    def has_position(self, level: int, digit: int) -> bool:
+        """True iff ``(level, digit)`` names a cell of this table."""
+        return 0 <= level < self.num_levels and 0 <= digit < self.base
 
     @property
     def version(self) -> int:
@@ -242,6 +258,7 @@ class NeighborTable:
 
     def set_state(self, level: int, digit: int, state: NeighborState) -> None:
         """Update the recorded state of a filled entry."""
+        self._check_position(level, digit)
         idx = level * self.base + digit
         node = self._cells[idx]
         if node is None:
@@ -347,6 +364,7 @@ class NeighborTable:
 
     def remove_reverse(self, level: int, digit: int, node: NodeId) -> None:
         """Forget that ``node`` points at us at ``(level, digit)``."""
+        self._check_position(level, digit)
         self._drop_reverse(level * self.base + digit, node)
 
     def remove_reverse_everywhere(self, node: NodeId) -> None:

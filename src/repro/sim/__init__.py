@@ -9,19 +9,18 @@ simulator" (Section 5.2).  This package provides that substrate:
   loop.
 * :mod:`~repro.sim.rng` -- seeded random-stream management so every
   experiment is reproducible.
-* :mod:`~repro.sim.trace` -- lightweight tracing/statistics hooks.
+
+Protocol trace records live with the sans-io core, in
+:mod:`repro.core.trace`.
 """
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Simulator
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
     "EventQueue",
     "RngFactory",
     "Simulator",
-    "TraceLog",
-    "TraceRecord",
 ]

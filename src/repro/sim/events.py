@@ -14,27 +14,23 @@ scheduling (:meth:`EventQueue.push_fire`): message deliveries dominate
 a simulation's schedule volume and are never cancelled, so they skip
 the :class:`Event` allocation entirely.
 
-Two scale features, both off by default and invisible to pop order:
+The queue is one binary heap.  Two devices keep it cheap at scale,
+both invisible to pop order:
 
+* **Batched pushes** (:meth:`EventQueue.push_many`) — a bulk schedule
+  (10⁵ join timers) is appended and heapified once in O(n) instead of
+  paying n O(log n) sifts.
 * **Compaction** (see :meth:`EventQueue.note_cancelled`) — cancellation
   is lazy, which is O(1), but a workload that schedules-and-cancels
   retry timers forever (every message send in the wire tier) leaves
   tombstones in the heap.  When dead entries outnumber live ones the
   queue rebuilds itself, so memory tracks the *live* event count.
-* **Timer wheel** (``wheel_tick=...``) — bulk far-future scheduling
-  (10⁵ join timers in :mod:`benchmarks.bench_scale`) costs O(log n)
-  per push on a heap.  With a wheel, events at or beyond the current
-  spill bound are appended O(1) to a coarse time-slot bucket, and each
-  slot is heapified only when the clock reaches it.  The invariant is
-  ``heap times < spill_bound <= bucket times``; within a slot the
-  ``(time, seq)`` heap order is restored at spill time, so the pop
-  sequence is identical to the plain heap's.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 #: Sentinel stored in ``Event.queue`` once the event has been popped
 #: (fired); ``None`` means the event was never enqueued.
@@ -107,32 +103,17 @@ class Event:
 
 
 class EventQueue:
-    """A stable min-heap of events, with optional timer-wheel overflow.
+    """A stable min-heap of events."""
 
-    ``wheel_tick`` (a virtual-time duration) enables the hashed wheel:
-    events scheduled at or beyond the spill bound are bucketed by
-    ``int(time // wheel_tick)`` instead of pushed onto the heap.
-    ``None`` (the default) keeps the pure heap.
-    """
-
-    def __init__(self, wheel_tick: Optional[float] = None) -> None:
-        if wheel_tick is not None and wheel_tick <= 0:
-            raise ValueError(f"wheel_tick must be positive: {wheel_tick}")
+    def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Event]] = []
         self._next_seq = 0
         # Live (non-cancelled) entry count, so __len__ is O(1); the
         # scheduler reports queue depth after every event, which was
         # quadratic when this required a heap scan.
         self._live = 0
-        # Cancelled entries still sitting in the heap or a wheel slot.
+        # Cancelled entries still sitting in the heap.
         self._dead = 0
-        self._wheel_tick = wheel_tick
-        # slot index -> unordered list of (time, seq, event).
-        self._slots: Dict[int, List[Tuple[float, int, Event]]] = {}
-        # Times >= _spill_bound belong to the wheel; starts at 0 so the
-        # first push seeds the wheel, and rises as slots spill into the
-        # heap.  Unused (inf) without a wheel.
-        self._spill_bound = 0.0 if wheel_tick is not None else float("inf")
 
     # -- scheduling ----------------------------------------------------
 
@@ -147,15 +128,7 @@ class EventQueue:
         self._next_seq = seq + 1
         event = Event(time, seq, action, payload)
         event.queue = self
-        if time < self._spill_bound:
-            heappush(self._heap, (time, seq, event))
-        else:
-            slot = int(time // self._wheel_tick)
-            bucket = self._slots.get(slot)
-            if bucket is None:
-                self._slots[slot] = [(time, seq, event)]
-            else:
-                bucket.append((time, seq, event))
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -171,15 +144,7 @@ class EventQueue:
         allocation per send."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        if time < self._spill_bound:
-            heappush(self._heap, (time, seq, action, payload))
-        else:
-            slot = int(time // self._wheel_tick)
-            bucket = self._slots.get(slot)
-            if bucket is None:
-                self._slots[slot] = [(time, seq, action, payload)]
-            else:
-                bucket.append((time, seq, action, payload))
+        heappush(self._heap, (time, seq, action, payload))
         self._live += 1
 
     def push_many(
@@ -197,9 +162,6 @@ class EventQueue:
         ``(time, seq)`` is a total order.
         """
         heap = self._heap
-        spill_bound = self._spill_bound
-        slots = self._slots
-        tick = self._wheel_tick
         events: List[Event] = []
         seq = self._next_seq
         heaped = len(heap)
@@ -207,19 +169,11 @@ class EventQueue:
             event = Event(time, seq, action, payload)
             event.queue = self
             events.append(event)
-            if time < spill_bound:
-                heap.append((time, seq, event))
-            else:
-                slot = int(time // tick)
-                bucket = slots.get(slot)
-                if bucket is None:
-                    slots[slot] = [(time, seq, event)]
-                else:
-                    bucket.append((time, seq, event))
+            heap.append((time, seq, event))
             seq += 1
         self._next_seq = seq
-        self._live += len(events)
-        added = len(heap) - heaped
+        added = len(events)
+        self._live += added
         if added:
             if added > heaped // 2:
                 heapify(heap)
@@ -233,7 +187,7 @@ class EventQueue:
     # -- draining ------------------------------------------------------
 
     def pop_entry(self) -> Optional[tuple]:
-        """Remove and return the earliest live heap entry, or None.
+        """Remove and return the earliest live entry, or None.
 
         The raw-tuple fast path for run loops: returns either a
         ``(time, seq, event)`` or a fire-and-forget ``(time, seq,
@@ -241,20 +195,17 @@ class EventQueue:
         cancelled events.
         """
         heap = self._heap
-        while True:
-            while heap:
-                entry = heappop(heap)
-                if len(entry) == 3:
-                    event = entry[2]
-                    if event.cancelled:
-                        self._dead -= 1
-                        continue
-                    event.queue = _DONE  # later cancel() is a no-op
-                self._live -= 1
-                return entry
-            if not self._slots:
-                return None
-            self._spill_min_slot()
+        while heap:
+            entry = heappop(heap)
+            if len(entry) == 3:
+                event = entry[2]
+                if event.cancelled:
+                    self._dead -= 1
+                    continue
+                event.queue = _DONE  # later cancel() is a no-op
+            self._live -= 1
+            return entry
+        return None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or None.
@@ -274,36 +225,14 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None if empty."""
         heap = self._heap
-        while True:
-            while heap:
-                head = heap[0]
-                if len(head) == 3 and head[2].cancelled:
-                    heappop(heap)
-                    self._dead -= 1
-                    continue
-                return head[0]
-            if not self._slots:
-                return None
-            self._spill_min_slot()
-
-    def _spill_min_slot(self) -> None:
-        """Move the earliest wheel slot into the heap.
-
-        Called only when the heap is empty, so the spilled entries
-        (all ``>= _spill_bound``) cannot land behind anything.  The
-        slot's entries are heapified — O(slot size) — restoring exact
-        ``(time, seq)`` order, and cancelled entries are dropped here
-        rather than carried into the heap.
-        """
-        slot = min(self._slots)
-        entries = self._slots.pop(slot)
-        heap = self._heap  # empty, mutated in place: callers hold a ref
-        for entry in entries:
-            if len(entry) == 4 or not entry[2].cancelled:
-                heap.append(entry)
-        self._dead -= len(entries) - len(heap)
-        heapify(heap)
-        self._spill_bound = (slot + 1) * self._wheel_tick
+        while heap:
+            head = heap[0]
+            if len(head) == 3 and head[2].cancelled:
+                heappop(heap)
+                self._dead -= 1
+                continue
+            return head[0]
+        return None
 
     # -- cancellation / compaction -------------------------------------
 
@@ -330,15 +259,6 @@ class EventQueue:
         ]
         heapify(live_heap)
         self._heap = live_heap
-        for slot in list(self._slots):
-            bucket = [
-                e for e in self._slots[slot]
-                if len(e) == 4 or not e[2].cancelled
-            ]
-            if bucket:
-                self._slots[slot] = bucket
-            else:
-                del self._slots[slot]
         self._dead = 0
 
     # -- introspection -------------------------------------------------
@@ -347,16 +267,6 @@ class EventQueue:
     def dead_entries(self) -> int:
         """Cancelled entries currently tombstoned in the queue."""
         return self._dead
-
-    @property
-    def wheel_tick(self) -> Optional[float]:
-        """The wheel's slot width, or ``None`` for the pure heap."""
-        return self._wheel_tick
-
-    @property
-    def wheel_slots(self) -> int:
-        """Number of non-empty wheel slots (0 without a wheel)."""
-        return len(self._slots)
 
     def __len__(self) -> int:
         return self._live

@@ -34,8 +34,8 @@ class Simulator:
     #: Runtime-contract tag (see :mod:`repro.runtime.interface`).
     name = "sim"
 
-    def __init__(self, wheel_tick: Optional[float] = None) -> None:
-        self._queue = EventQueue(wheel_tick=wheel_tick)
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._events_fired = 0
         self._running = False

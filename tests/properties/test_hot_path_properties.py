@@ -1,16 +1,41 @@
-"""Fast-path vs reference-implementation equivalence for NodeId.
+"""Fast-path vs specification equivalence for NodeId.
 
 The optimized ``csuf_len`` / cached ``__str__`` / cached ``to_int`` /
-ordering operators must agree with the pre-optimization digit loops in
-:mod:`repro.perf.baseline` on every input -- the fast paths are pure
-speedups, never behaviour changes.
+ordering operators must agree with the plain digit loops below on
+every input -- the fast paths are pure speedups, never behaviour
+changes.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ids.idspace import IdSpace
-from repro.perf import naive_csuf_len, naive_str, naive_to_int
+
+DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def naive_csuf_len(a, b):
+    """``|csuf(a, b)|``: count equal digits from the rightmost one."""
+    n = 0
+    for x, y in zip(a.digits, b.digits):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def naive_str(a):
+    """Printable form, most significant digit first."""
+    return "".join(DIGIT_CHARS[dg] for dg in reversed(a.digits))
+
+
+def naive_to_int(a):
+    """Numeric value of the digit vector in base ``a.base``."""
+    value = 0
+    for dg in reversed(a.digits):
+        value = value * a.base + dg
+    return value
+
 
 BASES = st.sampled_from([2, 3, 4, 8, 16])
 
@@ -31,6 +56,13 @@ def id_pairs(draw):
 
 
 class TestCsufFastPath:
+    def test_naive_csuf_len_reference(self):
+        space = IdSpace(4, 5)
+        x = space.from_string("21233")
+        y = space.from_string("10233")
+        assert naive_csuf_len(x, y) == 3
+        assert x.csuf_len(y) == 3
+
     @given(id_pairs())
     @settings(max_examples=200)
     def test_matches_naive(self, data):

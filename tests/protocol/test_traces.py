@@ -10,7 +10,7 @@ import random
 
 from repro.protocol.join import JoinProtocolNetwork
 from repro.protocol.status import NodeStatus
-from repro.sim.trace import TraceLog
+from repro.core.trace import TraceLog
 from repro.topology.attachment import UniformLatencyModel
 
 from tests.conftest import make_ids

@@ -1,8 +1,8 @@
-"""Batched scheduling, the timer wheel, and tombstone compaction.
+"""Batched scheduling and tombstone compaction.
 
 The batched-queue features must be pure throughput devices: for any
 entry sequence, the pop order is identical to one-by-one pushes on the
-plain heap, with or without the wheel, before or after compaction.
+plain heap, before or after compaction.
 """
 
 import random
@@ -60,57 +60,6 @@ class TestPushMany:
         assert [payload for _, _, payload in _drain(queue)] == [0, 1, 3, 5]
 
 
-class TestTimerWheel:
-    def test_pop_sequence_identical_with_and_without_wheel(self):
-        rng = random.Random(1)
-        entries = _random_entries(rng, 300)
-        plain = EventQueue()
-        wheeled = EventQueue(wheel_tick=7.5)
-        for time, action, payload in entries:
-            plain.push(time, action, payload)
-            wheeled.push(time, action, payload)
-        assert _drain(wheeled) == _drain(plain)
-
-    def test_push_many_identical_with_and_without_wheel(self):
-        rng = random.Random(2)
-        entries = _random_entries(rng, 300)
-        plain = EventQueue()
-        plain.push_many(entries)
-        wheeled = EventQueue(wheel_tick=3.0)
-        wheeled.push_many(entries)
-        assert _drain(wheeled) == _drain(plain)
-
-    def test_cancel_inside_wheel_slot(self):
-        queue = EventQueue(wheel_tick=10.0)
-        keep = queue.push(25.0, None, "keep")
-        drop = queue.push(26.0, None, "drop")
-        assert queue.wheel_slots >= 1
-        drop.cancel()
-        assert [payload for _, _, payload in _drain(queue)] == ["keep"]
-        assert keep.time == 25.0
-
-    def test_interleaved_pops_and_pushes(self):
-        """Near-future pushes landing below the spill bound while the
-        wheel still holds far-future slots."""
-        rng = random.Random(3)
-        plain, wheeled = EventQueue(), EventQueue(wheel_tick=5.0)
-        now = 0.0
-        expected_payload = 0
-        for _round in range(50):
-            time = now + rng.uniform(0.0, 40.0)
-            for queue in (plain, wheeled):
-                queue.push(time, None, _round)
-            if rng.random() < 0.5:
-                a, b = plain.pop(), wheeled.pop()
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert (a.time, a.seq, a.payload) == (
-                        b.time, b.seq, b.payload,
-                    )
-                    now = a.time
-        assert _drain(wheeled) == _drain(plain)
-
-
 class TestCompaction:
     def test_tombstones_are_compacted(self):
         queue = EventQueue()
@@ -143,17 +92,6 @@ class TestCompaction:
         drained = [payload for _, _, payload in _drain(compacted)]
         assert drained == [payload for _, _, payload in _drain(reference)]
         assert sorted(drained) == sorted(keep)
-
-    def test_compaction_inside_wheel(self):
-        queue = EventQueue(wheel_tick=2.0)
-        survivors = []
-        for t in range(6 * _COMPACT_MIN_DEAD):
-            event = queue.push(float(t), None, t)
-            if t % 10 == 0:
-                survivors.append(t)
-            else:
-                event.cancel()
-        assert [payload for _, _, payload in _drain(queue)] == survivors
 
 
 class TestSchedulerBatching:

@@ -1,6 +1,6 @@
 """Unit tests for the trace log."""
 
-from repro.sim.trace import NullTraceLog, TraceLog, TraceRecord
+from repro.core.trace import NullTraceLog, TraceLog, TraceRecord
 
 
 class TestTraceLog:

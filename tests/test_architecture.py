@@ -246,6 +246,87 @@ class TestOneSuffixClassIndex:
             assert "SuffixIndex" not in called, name
 
 
+class TestOneTableBackend:
+    """Section 2.1 defines one neighbor table; the simulator has one
+    implementation of it, and the protocol's fast paths never ask
+    which one they were handed."""
+
+    def _trees(self):
+        for path in sorted(SRC.rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+    def test_no_subclass_of_neighbor_table(self):
+        offenders = []
+        for path, tree in self._trees():
+            names = {"NeighborTable"} | {
+                alias.asname
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name == "NeighborTable" and alias.asname
+            }
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                and any(
+                    getattr(base, "id", getattr(base, "attr", None)) in names
+                    for base in node.bases
+                )
+            ]
+        assert not offenders, offenders
+
+    def test_only_the_table_module_binds_the_name(self):
+        offenders = []
+        for path, tree in self._trees():
+            if path.relative_to(SRC).as_posix() == "repro/routing/table.py":
+                continue
+            for node in ast.walk(tree):
+                targets = []
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                for target in targets:
+                    name = getattr(target, "id", getattr(target, "attr", None))
+                    if name == "NeighborTable":
+                        offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert not offenders, offenders
+
+    def test_no_perf_package(self):
+        assert not (SRC / "repro" / "perf").exists()
+
+    def test_protocol_never_tests_a_table_class(self):
+        offenders = [
+            str(path.relative_to(SRC))
+            for path in sorted((SRC / "repro" / "protocol").rglob("*.py"))
+            if "__class__ is" in path.read_text(encoding="utf-8")
+        ]
+        assert not offenders, offenders
+
+
+class TestOneEventQueue:
+    """The event queue is one heap: no constructor knobs, no wheel."""
+
+    def test_queue_and_simulator_take_no_parameters(self):
+        import inspect
+
+        from repro.sim.events import EventQueue
+        from repro.sim.scheduler import Simulator
+
+        for cls in (EventQueue, Simulator):
+            params = inspect.signature(cls.__init__).parameters
+            assert list(params) == ["self"], (cls.__name__, list(params))
+
+    def test_no_wheel_under_sim(self):
+        offenders = [
+            str(path.relative_to(SRC))
+            for path in sorted((SRC / "repro" / "sim").rglob("*.py"))
+            if re.search(r"wheel", path.read_text(encoding="utf-8"), re.I)
+        ]
+        assert not offenders, offenders
+
+
 class TestNoNumpy:
     def test_no_source_file_imports_numpy(self):
         offenders = [
