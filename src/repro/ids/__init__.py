@@ -19,12 +19,6 @@ The package provides:
 
 from repro.ids.digits import PACKED_DIGIT_BITS, NodeId
 from repro.ids.idspace import IdSpace
-from repro.ids.packed import (
-    PackedIdSpace,
-    packed_csuf_len,
-    packed_digit,
-    packed_suffix,
-)
 from repro.ids.suffix import (
     SuffixIndex,
     csuf,
@@ -38,11 +32,7 @@ from repro.ids.suffix import (
 __all__ = [
     "NodeId",
     "IdSpace",
-    "PackedIdSpace",
     "PACKED_DIGIT_BITS",
-    "packed_csuf_len",
-    "packed_digit",
-    "packed_suffix",
     "SuffixIndex",
     "csuf",
     "csuf_len",

@@ -4,6 +4,9 @@ RTT measurement rides on the recovery package's PingMsg/PongMsg with a
 dedicated token (:data:`MEASURE`); the
 :meth:`repro.recovery.mixin.RecoveryMixin._on_measured_pong` hook
 routes those pongs here.
+
+Suffix-class tests use the packed ``(key, mask)`` form of
+:mod:`repro.ids.packed`, as in the recovery mixin.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.ids.digits import NodeId
+from repro.ids.packed import entry_pattern, suffix_pattern
 from repro.optimize.messages import OptFindMsg, OptFindRlyMsg
 from repro.recovery.messages import PingMsg, PongMsg
 
@@ -59,16 +63,14 @@ class OptimizationMixin:
 
     def _on_opt_find(self, msg: OptFindMsg) -> None:
         suffix = msg.suffix
-        candidates = []
-        if self.node_id.has_suffix(suffix):
-            candidates.append(self.node_id)
-        for neighbor in self.table.distinct_neighbors():
-            if (
-                neighbor.has_suffix(suffix)
-                and neighbor != msg.sender
-                and neighbor not in candidates
-            ):
-                candidates.append(neighbor)
+        me = self.node_id
+        key, mask = suffix_pattern(suffix, me._base, len(me._digits))
+        sender = msg.sender
+        candidates = [me] if me._packed & mask == key else []
+        candidates += [
+            n for n in self.table.distinct_neighbors()
+            if n._packed & mask == key and n != sender and n != me
+        ]
         self.send(
             msg.sender,
             OptFindRlyMsg(self.node_id, suffix, tuple(candidates)),
@@ -94,13 +96,15 @@ class OptimizationMixin:
         rtt = self.now - msg.sent_at
         candidate = msg.sender
         best_of = self._optimization_state().best
-        for entry in self.table.entries():
-            if entry.node == self.node_id:
+        me = self.node_id
+        packed = candidate._packed
+        for level, digit, node, _state in self.table.entries():
+            if node == me:
                 continue
-            suffix = self.node_id.suffix(entry.level) + (entry.digit,)
-            if not candidate.has_suffix(suffix):
+            key, mask = entry_pattern(me, level, digit)
+            if packed & mask != key:
                 continue
-            position = (entry.level, entry.digit)
+            position = (level, digit)
             best = best_of.get(position)
             if best is None or rtt < best[0]:
                 best_of[position] = (rtt, candidate)

@@ -5,13 +5,21 @@ may target crashed nodes go through the transport's lossy path; the
 detection timeout is the failure detector (no pong within the timeout
 => suspected dead -- exact in this simulator, since live nodes always
 pong and delivery is reliable).
+
+Suffix-class tests run on packed IDs: a suffix (a repair request's
+tuple or one of our own table positions) becomes one ``(key, mask)``
+pair (:func:`~repro.ids.packed.suffix_pattern`,
+:func:`~repro.ids.packed.entry_pattern`), and "``n`` ends with it" is
+``n._packed & mask == key`` -- no tuple slices per candidate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Optional, Set, Tuple
 
 from repro.ids.digits import NodeId
+from repro.ids.packed import entry_pattern, suffix_pattern
 from repro.runtime.interface import TimerHandle
 from repro.recovery.messages import (
     AdvertiseMsg,
@@ -25,6 +33,8 @@ Position = Tuple[int, int]
 
 #: Ping token values: liveness sweep vs repair-candidate verification.
 DETECT, VERIFY = 0, 1
+
+_by_digits = attrgetter("_digits")
 
 
 class _RecoveryState:
@@ -73,10 +83,6 @@ class RecoveryMixin:
         if state is None:
             state = self._recovery = _RecoveryState()
         return state
-
-    def _required_suffix(self, position: Position) -> Tuple[int, ...]:
-        level, digit = position
-        return self.node_id.suffix(level) + (digit,)
 
     # -- detection ------------------------------------------------------
 
@@ -157,10 +163,12 @@ class RecoveryMixin:
         state.known_live.add(msg.sender)
         # The advertiser just proved liveness: repair any suspected
         # entry it fits directly.
+        packed = msg.sender._packed
         for position in list(state.suspected):
-            if not msg.sender.has_suffix(self._required_suffix(position)):
-                continue
             level, digit = position
+            key, mask = entry_pattern(self.node_id, level, digit)
+            if packed & mask != key:
+                continue
             self.table.replace_entry(
                 level, digit, msg.sender, NeighborState.S
             )
@@ -201,7 +209,7 @@ class RecoveryMixin:
                 self.transport.send_lossy(
                     backup, PingMsg(self.node_id, self.now, token=VERIFY)
                 )
-            suffix = self._required_suffix(position)
+            suffix = self.node_id.suffix(position[0]) + (position[1],)
             for neighbor in live_neighbors:
                 self.transport.send_lossy(
                     neighbor,
@@ -210,18 +218,21 @@ class RecoveryMixin:
 
     def _on_repair_find(self, msg: RepairFindMsg) -> None:
         suffix = msg.suffix
-        candidates: List[NodeId] = []
-        if self.node_id.has_suffix(suffix):
-            candidates.append(self.node_id)
+        me = self.node_id
+        key, mask = suffix_pattern(suffix, me._base, len(me._digits))
         state = self._recovery_state()
         known = self.table.distinct_neighbors() | state.known_live
-        for neighbor in sorted(known, key=lambda n: n.digits):
-            if (
-                neighbor.has_suffix(suffix)
-                and neighbor != msg.origin
-                and neighbor not in candidates
-            ):
-                candidates.append(neighbor)
+        origin = msg.origin
+        candidates = [me] if me._packed & mask == key else []
+        # Filter, then sort the few matches (same order as filtering
+        # the sorted set: the digit tuples are distinct).
+        candidates += sorted(
+            [
+                n for n in known
+                if n._packed & mask == key and n != origin and n != me
+            ],
+            key=_by_digits,
+        )
         if candidates:
             self.transport.send_lossy(
                 msg.origin,
@@ -260,11 +271,12 @@ class RecoveryMixin:
         from repro.routing.entry import NeighborState
 
         state = self._recovery_state()
+        packed = candidate._packed
         for position in list(state.repair_pending):
-            suffix = self._required_suffix(position)
-            if not candidate.has_suffix(suffix):
-                continue
             level, digit = position
+            key, mask = entry_pattern(self.node_id, level, digit)
+            if packed & mask != key:
+                continue
             self.table.replace_entry(
                 level, digit, candidate, NeighborState.S
             )

@@ -11,13 +11,15 @@ suffix-qualified node for an entry that is already filled (the
 as a backup instead of being dropped.  :func:`route_fault_tolerant`
 then routes around dead primaries by falling back to backups at each
 hop -- bridging the window between a crash and the recovery sweep.
+Both run on packed IDs, like :mod:`repro.routing.router`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.ids.digits import NodeId
+from repro.ids.digits import PACKED_DIGIT_BITS, PACKED_DIGIT_MASK, NodeId
+from repro.ids.packed import entry_pattern
 from repro.routing.router import RouteResult, TableProvider
 from repro.routing.table import NeighborTable
 
@@ -46,7 +48,8 @@ class BackupStore:
         qualifies and there is room.  Returns True when stored."""
         if node == self.owner:
             return False
-        if node.csuf_len(self.owner) < level or node.digit(level) != digit:
+        key, mask = entry_pattern(self.owner, level, digit)
+        if node._packed & mask != key:
             return False
         return self.offer_flat(level * self._base + digit, node)
 
@@ -149,18 +152,22 @@ def route_fault_tolerant(
         max_hops = source.num_digits
     path = [source]
     current = source
+    goal = target._packed
+    w = PACKED_DIGIT_BITS
     while current != target:
         if len(path) - 1 >= max_hops:
             return RouteResult(False, path, failed_at=current)
-        level = current.csuf_len(target)
-        digit = target.digit(level)
-        candidates: List[NodeId] = []
-        primary = tables(current).get(level, digit)
-        if primary is not None:
-            candidates.append(primary)
-        candidates.extend(backups(current).get(level, digit))
-        hop = next((c for c in candidates if c in live), None)
-        if hop is None or hop.csuf_len(target) <= level:
+        z = current._packed ^ goal
+        level = ((z & -z).bit_length() - 1) // w
+        table = tables(current)
+        idx = level * table.base + ((goal >> level * w) & PACKED_DIGIT_MASK)
+        primary = table._cells[idx]
+        if primary is not None and primary in live:
+            hop = primary
+        else:
+            spares = backups(current)._backups.get(idx, ())
+            hop = next((c for c in spares if c in live), None)
+        if hop is None or (hop._packed ^ goal) & ((1 << (level + 1) * w) - 1):
             return RouteResult(False, path, failed_at=current)
         path.append(hop)
         current = hop

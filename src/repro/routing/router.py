@@ -5,15 +5,24 @@ follows, at each intermediate node ``u``, the primary
 ``(i, y[i])``-neighbor where ``i = |csuf(u, y)|``.  Every hop extends
 the matched suffix by at least one digit, so a route takes at most
 ``d`` hops on a consistent network.
+
+Each hop runs on the packed IDs (:mod:`repro.ids.packed`): the lowest
+set bit of ``current ^ target`` gives the level, a shift gives the
+target's digit there, and the neighbor is read straight from the flat
+``table._cells[level * base + digit]`` -- no ``csuf_len``/``digit``/
+``get`` calls per hop.  A hop makes progress iff it agrees with the
+target on the low ``level + 1`` digits, one masked XOR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-from repro.ids.digits import NodeId
+from repro.ids.digits import PACKED_DIGIT_BITS, PACKED_DIGIT_MASK, NodeId
 from repro.routing.table import NeighborTable
+
+_W = PACKED_DIGIT_BITS
 
 #: Resolves a node ID to that node's neighbor table.
 TableProvider = Callable[[NodeId], NeighborTable]
@@ -37,6 +46,12 @@ class RouteResult:
         return len(self.path) - 1
 
 
+def _level(current: NodeId, target: NodeId) -> int:
+    """``|csuf(current, target)|`` of two distinct IDs of one space."""
+    z = current._packed ^ target._packed
+    return ((z & -z).bit_length() - 1) // _W
+
+
 def next_hop(
     table: NeighborTable, current: NodeId, target: NodeId
 ) -> Optional[NodeId]:
@@ -48,8 +63,23 @@ def next_hop(
     """
     if current == target:
         return current
-    level = current.csuf_len(target)
-    return table.get(level, target.digit(level))
+    level = _level(current, target)
+    digit = (target._packed >> level * _W) & PACKED_DIGIT_MASK
+    return table._cells[level * table.base + digit]
+
+
+def _cyclic_first(
+    cells: Sequence[Optional[NodeId]], row: int, digit: int, base: int
+) -> Optional[NodeId]:
+    """First filled cell of the row starting at ``row``, scanning the
+    digits cyclically from ``digit`` (the surrogate substitution)."""
+    for idx in range(row + digit, row + base):
+        if cells[idx] is not None:
+            return cells[idx]
+    for idx in range(row, row + digit):
+        if cells[idx] is not None:
+            return cells[idx]
+    return None
 
 
 def surrogate_route(
@@ -70,40 +100,33 @@ def surrogate_route(
     """
     path = [source]
     current = source
-    for _ in range(target.num_digits + 1):
+    goal = target._packed
+    num_digits = len(target._digits)
+    for _ in range(num_digits + 1):
         if current == target:
             return RouteResult(True, path)
         table = tables(current)
-        level = current.csuf_len(target)
-        hop = None
-        for offset in range(current.base):
-            digit = (target.digit(level) + offset) % current.base
-            candidate = table.get(level, digit)
-            if candidate is not None:
-                hop = candidate
-                break
+        cells = table._cells
+        base = table.base
+        level = _level(current, target)
+        hop = _cyclic_first(
+            cells, level * base, (goal >> level * _W) & PACKED_DIGIT_MASK,
+            base,
+        )
         if hop is None:
             # Not even a self-pointer: malformed table.
             return RouteResult(False, path, failed_at=current)
         if hop == current:
             # We are the best match at this level; resolve deeper
             # levels locally until the root (possibly ourselves).
-            next_level = level + 1
-            while next_level < current.num_digits:
-                found = None
-                for offset in range(current.base):
-                    digit = (
-                        target.digit(next_level) + offset
-                    ) % current.base
-                    candidate = table.get(next_level, digit)
-                    if candidate is not None:
-                        found = candidate
-                        break
-                if found is None or found == current:
-                    next_level += 1
-                    continue
-                hop = found
-                break
+            for deeper in range(level + 1, num_digits):
+                found = _cyclic_first(
+                    cells, deeper * base,
+                    (goal >> deeper * _W) & PACKED_DIGIT_MASK, base,
+                )
+                if found is not None and found != current:
+                    hop = found
+                    break
             if hop == current:
                 return RouteResult(True, path)
         path.append(hop)
@@ -126,13 +149,20 @@ def route(
         max_hops = source.num_digits
     path = [source]
     current = source
+    goal = target._packed
     while current != target:
         if len(path) - 1 >= max_hops:
             return RouteResult(False, path, failed_at=current)
-        hop = next_hop(tables(current), current, target)
+        table = tables(current)
+        z = current._packed ^ goal
+        level = ((z & -z).bit_length() - 1) // _W
+        shift = level * _W
+        hop = table._cells[
+            level * table.base + ((goal >> shift) & PACKED_DIGIT_MASK)
+        ]
         if hop is None:
             return RouteResult(False, path, failed_at=current)
-        if hop.csuf_len(target) <= current.csuf_len(target):
+        if (hop._packed ^ goal) & ((1 << shift + _W) - 1):
             # A consistent network guarantees progress; surface the
             # violation instead of looping forever.
             return RouteResult(False, path + [hop], failed_at=current)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from repro.ids.digits import PACKED_DIGIT_BITS as W
 from repro.ids.idspace import IdSpace
-from repro.ids.packed import PackedIdSpace, SuffixClassIndex
+from repro.ids.packed import SuffixClassIndex
 from repro.ids.suffix import SuffixIndex
 
 
@@ -18,11 +19,13 @@ class TestSuffixClassIndex:
         for space in _spaces():
             ids = space.random_unique_ids(40, random.Random(space.base))
             index = SuffixClassIndex.of(ids)
-            packed = PackedIdSpace(space.base, space.num_digits)
             for node in ids:
                 for k in range(space.num_digits + 1):
                     key = index.key(node.packed, k)
-                    assert key == packed.suffix_key(node.packed, k)
+                    # Length tag above the widest ID, suffix bits below.
+                    assert key == (k << space.num_digits * W) | (
+                        node.packed & ((1 << k * W) - 1)
+                    )
                     assert list(index.members(key)) == [
                         other
                         for other in ids
