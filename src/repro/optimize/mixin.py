@@ -6,7 +6,10 @@ dedicated token (:data:`MEASURE`); the
 routes those pongs here.
 
 Suffix-class tests use the packed ``(key, mask)`` form of
-:mod:`repro.ids.packed`, as in the recovery mixin.
+:mod:`repro.ids.packed`, as in the recovery mixin.  A measured pong
+reads only the cells its candidate fits -- ``(L, owner[L])`` for ``L <
+k = csuf(candidate, owner)``, then ``(k, candidate[k])`` -- from the
+live table: no memo, so no validity stamp.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.ids.digits import NodeId
-from repro.ids.packed import entry_pattern, suffix_pattern
+from repro.ids.packed import suffix_pattern
 from repro.optimize.messages import OptFindMsg, OptFindRlyMsg
 from repro.recovery.messages import PingMsg, PongMsg
 
@@ -97,14 +100,17 @@ class OptimizationMixin:
         candidate = msg.sender
         best_of = self._optimization_state().best
         me = self.node_id
-        packed = candidate._packed
-        for level, digit, node, _state in self.table.entries():
-            if node == me:
+        digits = me._digits
+        k = me.csuf_len(candidate)
+        fits = [(level, digits[level]) for level in range(k)]
+        if k < len(digits):
+            fits.append((k, candidate._digits[k]))
+        cells = self.table._cells
+        base = self.table.base
+        for position in fits:
+            node = cells[position[0] * base + position[1]]
+            if node is None or node == me:
                 continue
-            key, mask = entry_pattern(me, level, digit)
-            if packed & mask != key:
-                continue
-            position = (level, digit)
             best = best_of.get(position)
             if best is None or rtt < best[0]:
                 best_of[position] = (rtt, candidate)

@@ -11,6 +11,11 @@ tuple or one of our own table positions) becomes one ``(key, mask)``
 pair (:func:`~repro.ids.packed.suffix_pattern`,
 :func:`~repro.ids.packed.entry_pattern`), and "``n`` ends with it" is
 ``n._packed & mask == key`` -- no tuple slices per candidate.
+
+A node answers each repair suffix once per view of its table: the memo
+of answers is valid while ``(table.version, len(known_live))`` holds,
+which is exact as every table mutator bumps ``version`` and
+``known_live`` only grows.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.recovery.messages import (
     PongMsg,
     RepairFindMsg,
     RepairFindRlyMsg,
+    Suffix,
 )
 
 Position = Tuple[int, int]
@@ -43,6 +49,7 @@ class _RecoveryState:
     __slots__ = (
         "ping_outstanding", "detection_done", "detection_timer",
         "suspected", "repair_pending", "repair_seen", "known_live",
+        "answers", "answers_stamp",
     )
 
     def __init__(self) -> None:
@@ -53,6 +60,9 @@ class _RecoveryState:
         self.repair_pending: Set[Position] = set()
         self.repair_seen: Set[Tuple[NodeId, Tuple[int, ...]]] = set()
         self.known_live: Set[NodeId] = set()
+        # suffix -> (own ID matches, sorted matching others)
+        self.answers: Dict[Suffix, Tuple[bool, Tuple[NodeId, ...]]] = {}
+        self.answers_stamp: Optional[Tuple[int, int]] = None
 
 
 class RecoveryMixin:
@@ -219,20 +229,25 @@ class RecoveryMixin:
     def _on_repair_find(self, msg: RepairFindMsg) -> None:
         suffix = msg.suffix
         me = self.node_id
-        key, mask = suffix_pattern(suffix, me._base, len(me._digits))
         state = self._recovery_state()
-        known = self.table.distinct_neighbors() | state.known_live
+        stamp = (self.table._version, len(state.known_live))
+        if stamp != state.answers_stamp:
+            state.answers, state.answers_stamp = {}, stamp
+        answer = state.answers.get(suffix)
+        if answer is None:
+            key, mask = suffix_pattern(suffix, me._base, len(me._digits))
+            known = self.table.distinct_neighbors() | state.known_live
+            known.discard(me)
+            # Filter, then sort the few matches (same order as filtering
+            # the sorted set: the digit tuples are distinct).
+            matches = [n for n in known if n._packed & mask == key]
+            answer = state.answers[suffix] = (
+                me._packed & mask == key,
+                tuple(sorted(matches, key=_by_digits)),
+            )
         origin = msg.origin
-        candidates = [me] if me._packed & mask == key else []
-        # Filter, then sort the few matches (same order as filtering
-        # the sorted set: the digit tuples are distinct).
-        candidates += sorted(
-            [
-                n for n in known
-                if n._packed & mask == key and n != origin and n != me
-            ],
-            key=_by_digits,
-        )
+        candidates = [me] if answer[0] else []
+        candidates += [n for n in answer[1] if n != origin]
         if candidates:
             self.transport.send_lossy(
                 msg.origin,

@@ -46,7 +46,14 @@ class HierarchicalLatency:
         return inside + stub.gateway_latency
 
     def latency(self, u: int, v: int) -> float:
-        """Shortest-path latency between any two routers."""
+        """Shortest-path latency between any two routers.
+
+        Symmetric only through the pair memo, which stores the first
+        direction asked under both keys: computed fresh, ``(v, u)`` can
+        sum its legs one ulp away from ``(u, v)``.  A memo-free rewrite
+        must compute from a canonical direction, which changes some
+        pairs' ulp and hence run fingerprints.
+        """
         if u == v:
             return 0.0
         memo = self._pair_memo

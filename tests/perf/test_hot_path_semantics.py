@@ -8,9 +8,11 @@ were recorded while the simulator still carried a second (dict-backed)
 table implementation and the pre-optimization hot paths, and came out
 identical on all three code paths and under ``PYTHONHASHSEED`` 0 and
 12345; the churn and routing constants were recorded while repair,
-optimization and routing still tested suffix classes on digit tuples.
-A change that moves one of them has changed behaviour, not merely
-speed.
+optimization and routing still tested suffix classes on digit tuples;
+the two query constants (every repair reply and every optimize ``best``
+map) were recorded while each repair query still rescanned the table
+and each measured pong still scanned every entry.  A change that moves
+one of them has changed behaviour, not merely speed.
 
 The canonical form is plain text built only from values whose printed
 form is stable across Python versions: ``str(NodeId)``,
@@ -24,7 +26,9 @@ from repro.experiments.workloads import SMALL_TOPOLOGY, make_workload
 from repro.ids.idspace import IdSpace
 from repro.optimize import optimize_tables
 from repro.protocol.leave import leave_sequentially
+from repro.protocol.node import ProtocolNode
 from repro.recovery import fail_nodes, recover_from_failures
+from repro.recovery.messages import RepairFindMsg, RepairFindRlyMsg
 from repro.routing.backups import harvest_backups, route_fault_tolerant
 from repro.routing.oracle import build_consistent_tables
 from repro.routing.router import route, surrogate_route
@@ -84,21 +88,31 @@ def oracle_fingerprint():
     return digest(table_lines(tables))
 
 
-def churn_fingerprint():
-    """One churn lifecycle (joins, leaves, crashes + recovery with
-    escalated repair search, optimization) on a b16 d8 topology."""
-    rng = random.Random(7007)
+def churn_lifecycle(
+    base=16, num_digits=8, n=60, m=20, seed=7007, leaves=10, crashes=10,
+    use_topology=True, before_recovery=None,
+):
+    """Joins, leaves, crashes + recovery (with escalated repair search)
+    and optimization; returns ``(network, recovery, optimization)``.
+    ``before_recovery(network)`` runs just after the crashes."""
+    rng = random.Random(seed)
     work = make_workload(
-        16, 8, 60, 20, seed=7007,
-        use_topology=True, topology_params=SMALL_TOPOLOGY,
+        base, num_digits, n, m, seed=seed, use_topology=use_topology,
+        topology_params=SMALL_TOPOLOGY if use_topology else None,
     )
     net = work.network
     work.start_all_joins(at=0.0)
     work.run()
-    leave_sequentially(net, rng.sample(net.member_ids(), 10))
-    fail_nodes(net, rng.sample(net.member_ids(), 10))
-    recovery = recover_from_failures(net)
-    optimized = optimize_tables(net)
+    leave_sequentially(net, rng.sample(net.member_ids(), leaves))
+    fail_nodes(net, rng.sample(net.member_ids(), crashes))
+    if before_recovery is not None:
+        before_recovery(net)
+    return net, recover_from_failures(net), optimize_tables(net)
+
+
+def churn_fingerprint():
+    """One churn lifecycle on a b16 d8 topology."""
+    net, recovery, optimized = churn_lifecycle()
     lines = [
         f"events {net.runtime.events_fired}",
         f"now {net.runtime.now!r}",
@@ -119,6 +133,54 @@ def churn_fingerprint():
     ]
     lines += table_lines(net.tables())
     return net, digest(lines)
+
+
+def query_fingerprint(monkeypatch, **shape):
+    """Every answer the repair and optimize handlers gave during one
+    :func:`churn_lifecycle`: each ``RepairFindRlyMsg`` sent, as
+    (receiver, replier, suffix, candidates), and each node's optimize
+    ``best`` map, in insertion order, whenever a round is finalized.
+    Returns ``(lines, fingerprint, ttls, overlaps)``: the TTLs of every
+    ``RepairFindMsg`` sent, and how many of them went to a node whose
+    ``known_live`` shares a member with its table."""
+    lines, ttls, overlaps = [], set(), [0]
+    nodes = {}
+
+    def record(message, dst):
+        if type(message) is RepairFindRlyMsg:
+            candidates = " ".join(map(str, message.candidates))
+            suffix = ",".join(map(str, message.suffix))
+            lines.append(f"rly {dst} {message.sender} {suffix} {candidates}")
+        elif type(message) is RepairFindMsg:
+            ttls.add(message.ttl)
+            node = nodes.get(dst)
+            state = node._recovery if node is not None else None
+            if state is not None and (
+                state.known_live & node.table.distinct_neighbors()
+            ):
+                overlaps[0] += 1
+        return False
+
+    finalize = ProtocolNode.finalize_optimization_round
+
+    def finalize_recorded(node):
+        lines.append(f"best {node.node_id}")
+        for (level, digit), (rtt, candidate) in (
+            node._optimization_state().best.items()
+        ):
+            lines.append(f"  {level} {digit} {rtt!r} {candidate}")
+        return finalize(node)
+
+    monkeypatch.setattr(
+        ProtocolNode, "finalize_optimization_round", finalize_recorded
+    )
+
+    def install(net):
+        nodes.update(net.nodes)
+        net.transport.drop_filter = record
+
+    churn_lifecycle(before_recovery=install, **shape)
+    return lines, digest(lines), ttls, overlaps[0]
 
 
 def _route_line(kind, source, target, result):
@@ -184,6 +246,15 @@ UNIFORM_B4 = "e3b2c7edd14615befcaff434d91d1b1e935f0951e7608e3f7eefce1bf78ca05c"
 ORACLE_B4 = "c1bbb90999d9c32163bf2e2ec7dc97c4512e018b3ba68d78e2fe5814c82b1db9"
 CHURN_B16 = "a9c8cb8a95279c8932d626d53734ee2b08ab905711ca28a22eb9917f2f348f09"
 ROUTES_B4 = "e38d4aec65f7f0f788d5d770b05fa2b94e4052df933280359ea6a7d451b8d052"
+QUERIES_B16 = "ea62caf56918b055011270fcf670a414c03ef720b8aba76d03fc73de01213624"
+QUERIES_B4 = "96015addfb60b52ec1b8c9a6b9f16712324718aad4f7e0d2b10f7b800b34cd76"
+#: b4 d6 over uniform latency, a quarter of the members crashed: repair
+#: escalates to TTL 2, and advertisers land in ``known_live`` of nodes
+#: whose tables already hold them.
+HEAVY_CRASH_B4 = dict(
+    base=4, num_digits=6, n=80, m=20, seed=5, leaves=5, crashes=25,
+    use_topology=False,
+)
 
 
 def _assert_run(expected, *args, **kwargs):
@@ -214,6 +285,22 @@ class TestSemanticsUnchanged:
         net, fingerprint = churn_fingerprint()
         assert fingerprint == CHURN_B16
         assert net.check_consistency().consistent
+
+    def test_repair_and_optimize_answers(self, monkeypatch):
+        # What each repair reply named and what each optimize round
+        # measured, on the churn lifecycle above.
+        lines, fingerprint, ttls, _overlaps = query_fingerprint(monkeypatch)
+        assert fingerprint == QUERIES_B16
+        assert ttls == {0, 1, 2}
+        assert any(line.startswith("rly ") for line in lines)
+
+    def test_heavy_crash_answers(self, monkeypatch):
+        _lines, fingerprint, ttls, overlaps = query_fingerprint(
+            monkeypatch, **HEAVY_CRASH_B4
+        )
+        assert fingerprint == QUERIES_B4
+        assert ttls == {0, 1, 2}
+        assert overlaps > 0
 
     def test_route_results(self):
         lines, fingerprint = routing_fingerprint()

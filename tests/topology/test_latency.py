@@ -49,6 +49,18 @@ class TestHierarchicalLatency:
     def test_zero_for_same_router(self):
         assert self.latency.latency(0, 0) == 0.0
 
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_exact_symmetry_whichever_direction_first(self, reverse_first):
+        # Exact, not approximate: the two directions of a pair may sum
+        # their legs differently (1 ulp apart), so equality must come
+        # from one instance answering both the same way.
+        latency = HierarchicalLatency(self.topo)
+        routers = sorted(self.topo.stub_routers + self.topo.transit_routers)
+        for i, u in enumerate(routers):
+            for v in routers[i + 1:]:
+                a, b = (v, u) if reverse_first else (u, v)
+                assert latency.latency(a, b) == latency.latency(b, a)
+
     def test_symmetry(self):
         rng = random.Random(1)
         routers = self.topo.stub_routers + self.topo.transit_routers
