@@ -10,8 +10,8 @@ root (the perf-trajectory artifact the ROADMAP asks for):
    the simulation's semantics is pinned separately, by the recorded
    whole-run fingerprints in ``tests/perf/test_hot_path_semantics.py``.)
 
-2. **Fan-out** -- an 8-seed Figure 15(b) sweep at ``--jobs 1`` vs
-   ``--jobs 4`` through :mod:`repro.experiments.parallel`.  Per-seed
+2. **Fan-out** -- an 8-seed Figure 15(b) sweep inline vs on a
+   ``ProcessPoolBackend(jobs=4)`` (:mod:`repro.exec`).  Per-seed
    results must be identical; the >= 2.5x wall-clock gate only applies
    on machines with >= 4 CPUs (single-core CI shards still record the
    measured ratio, which process-spawn overhead can push below 1).
@@ -23,6 +23,7 @@ import os
 import pathlib
 import time
 
+from repro.exec import ProcessPoolBackend
 from repro.experiments.fig15b import Fig15bConfig
 from repro.experiments.sweep import sweep_fig15b
 from repro.experiments.workloads import SMALL_TOPOLOGY, make_workload
@@ -148,10 +149,11 @@ def test_core_speed_gates():
 
     # -- Gate 2: fan-out scaling on the 8-seed sweep -------------------
     start = time.perf_counter()
-    serial = sweep_fig15b(SWEEP_CONFIG, SWEEP_SEEDS, jobs=1)
+    serial = sweep_fig15b(SWEEP_CONFIG, SWEEP_SEEDS)
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = sweep_fig15b(SWEEP_CONFIG, SWEEP_SEEDS, jobs=SWEEP_JOBS)
+    with ProcessPoolBackend(jobs=SWEEP_JOBS) as pool:
+        parallel = sweep_fig15b(SWEEP_CONFIG, SWEEP_SEEDS, backend=pool)
     parallel_s = time.perf_counter() - start
 
     assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)

@@ -14,6 +14,7 @@ backend explicitly (results are identical for any choice).
 
 import os
 
+from repro.exec import create_backend
 from repro.experiments.fig15b import Fig15bConfig
 from repro.experiments.sweep import sweep_fig15b
 from repro.experiments.workloads import SMALL_TOPOLOGY
@@ -36,32 +37,20 @@ def bench_jobs() -> int:
 
 
 def bench_backend():
-    """Explicit engine backend for benches (``REPRO_BENCH_BACKEND``,
-    ``REPRO_BENCH_WORKERS``), or None for the jobs contract."""
-    spec = os.environ.get("REPRO_BENCH_BACKEND")
+    """The engine backend ``REPRO_BENCH_BACKEND``, ``REPRO_BENCH_JOBS``
+    and ``REPRO_BENCH_WORKERS`` select (inline when none is set)."""
     workers = os.environ.get("REPRO_BENCH_WORKERS")
-    if not spec and not workers:
-        return None
-    from repro.exec import create_backend
-
-    worker_list = (
-        [w.strip() for w in workers.split(",") if w.strip()]
-        if workers else None
-    )
     return create_backend(
-        spec or "remote", jobs=bench_jobs(), workers=worker_list
+        os.environ.get("REPRO_BENCH_BACKEND") or None,
+        jobs=bench_jobs(),
+        workers=[w.strip() for w in workers.split(",") if w.strip()]
+        if workers else None,
     )
 
 
 def run_sweep():
-    backend = bench_backend()
-    try:
-        return sweep_fig15b(
-            CONFIG, seeds=SEEDS, jobs=bench_jobs(), backend=backend
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    with bench_backend() as backend:
+        return sweep_fig15b(CONFIG, seeds=SEEDS, backend=backend)
 
 
 def test_fig15b_seed_sweep(benchmark):

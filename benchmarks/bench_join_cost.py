@@ -3,18 +3,18 @@
 Regenerates the per-message-type accounting behind the paper's cost
 analysis: big messages (table-carrying) vs small messages, per join.
 
-The seed loop is routed through the execution engine of
-:mod:`repro.exec` (``run_join_tasks``); set ``REPRO_BENCH_JOBS`` to
-fan the seeds over worker processes, or ``REPRO_BENCH_BACKEND`` (plus
-``REPRO_BENCH_WORKERS=host:port,...`` for ``remote``) to pick a
-backend explicitly.
+The seed loop runs on an execution backend of :mod:`repro.exec`; set
+``REPRO_BENCH_JOBS`` to fan the seeds over worker processes, or
+``REPRO_BENCH_BACKEND`` (plus ``REPRO_BENCH_WORKERS=host:port,...`` for
+``remote``) to pick a backend explicitly.
 """
 
 import os
 
+from repro.exec import create_backend
 from repro.experiments.parallel import (
     JoinTaskConfig,
-    run_join_tasks,
+    run_join_task,
     seeded_configs,
 )
 
@@ -37,33 +37,20 @@ def bench_jobs() -> int:
 
 
 def bench_backend():
-    """Explicit engine backend for benches (``REPRO_BENCH_BACKEND``,
-    ``REPRO_BENCH_WORKERS``), or None for the jobs contract."""
-    spec = os.environ.get("REPRO_BENCH_BACKEND")
+    """The engine backend ``REPRO_BENCH_BACKEND``, ``REPRO_BENCH_JOBS``
+    and ``REPRO_BENCH_WORKERS`` select (inline when none is set)."""
     workers = os.environ.get("REPRO_BENCH_WORKERS")
-    if not spec and not workers:
-        return None
-    from repro.exec import create_backend
-
-    worker_list = (
-        [w.strip() for w in workers.split(",") if w.strip()]
-        if workers else None
-    )
     return create_backend(
-        spec or "remote", jobs=bench_jobs(), workers=worker_list
+        os.environ.get("REPRO_BENCH_BACKEND") or None,
+        jobs=bench_jobs(),
+        workers=[w.strip() for w in workers.split(",") if w.strip()]
+        if workers else None,
     )
 
 
 def run_workloads():
-    backend = bench_backend()
-    try:
-        return run_join_tasks(
-            seeded_configs(CONFIG, SEEDS), jobs=bench_jobs(),
-            backend=backend,
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    with bench_backend() as backend:
+        return backend.map(run_join_task, seeded_configs(CONFIG, SEEDS))
 
 
 def test_join_cost_breakdown(benchmark):

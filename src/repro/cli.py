@@ -41,11 +41,13 @@ Commands map one-to-one onto the paper's artifacts:
   sweep workers show up alongside the cluster daemons.
 
 The campaign commands (``fig15b``, ``join``, ``sweep``, ``churn``)
-share the execution-engine flags: ``--backend inline|pool|remote``
-(default: the historical ``--jobs`` contract), plus ``--workers
-HOST:PORT,...`` and ``--workers-from HOST:PORT`` (rendezvous worker
-discovery) for the remote backend.  Results are identical across
-backends -- see :mod:`repro.exec` and ``docs/distributed.md``.
+share the execution-engine flags: ``--jobs N`` and ``--backend
+inline|pool|remote`` (default: inline for ``--jobs 1``, the process
+pool otherwise), plus ``--workers HOST:PORT,...`` and ``--workers-from
+HOST:PORT`` (rendezvous worker discovery) for the remote backend; the
+selection rule is :func:`repro.exec.create_backend`.  Results are
+identical across backends -- see :mod:`repro.exec` and
+``docs/distributed.md``.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _cmd_fig15b(args: argparse.Namespace) -> int:
     from repro.experiments.fig15b import (
         Fig15bConfig,
         PAPER_CONFIGS,
-        run_fig15b_many,
+        run_fig15b,
     )
     from repro.experiments.harness import render_cdf_table
     from repro.experiments.workloads import SMALL_TOPOLOGY
@@ -128,16 +130,11 @@ def _cmd_fig15b(args: argparse.Namespace) -> int:
 
     ok = True
     samples = {}
-    try:
-        backend = _build_backend(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    backend = _build_backend(args)
+    if backend is None:
         return 2
-    try:
-        results = run_fig15b_many(configs, jobs=args.jobs, backend=backend)
-    finally:
-        if backend is not None:
-            backend.close()
+    with backend:
+        results = backend.map(run_fig15b, list(configs))
     for config, result in zip(configs, results):
         print(f"== {config.label} ==")
         print(render_cdf_table(result.cdf))
@@ -152,32 +149,30 @@ def _cmd_fig15b(args: argparse.Namespace) -> int:
 
 
 def _build_backend(args: argparse.Namespace):
-    """The explicit :class:`repro.exec.ExecutionBackend` implied by
-    the ``--backend`` / ``--workers`` / ``--workers-from`` flags, or
-    ``None`` to keep the historical ``--jobs`` contract.
-
-    The returned backend is CLI-owned: callers must ``close()`` it.
-    Raises :class:`ValueError` on an unsatisfiable combination (e.g.
+    """The :class:`repro.exec.ExecutionBackend` the ``--backend`` /
+    ``--jobs`` / ``--workers`` / ``--workers-from`` flags select (the
+    rule is :func:`repro.exec.create_backend`'s), or ``None`` after an
+    error line on stderr when they cannot be satisfied (e.g.
     ``--backend remote`` with neither workers nor a rendezvous).
+
+    The returned backend is CLI-owned: callers close it (``with``).
     """
-    spec = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    workers_from = getattr(args, "workers_from", None)
-    if spec is None and not workers and not workers_from:
-        return None
     from repro.exec import create_backend
 
-    if spec is None:
-        spec = "remote"  # a worker roster implies the remote backend
-    worker_list = None
-    if workers:
-        worker_list = [w for w in (p.strip() for p in workers.split(",")) if w]
-    jobs = getattr(args, "jobs", None)
-    if spec == "pool" and (jobs is None or jobs <= 1):
+    workers = None
+    if args.workers:
+        workers = [w.strip() for w in args.workers.split(",") if w.strip()]
+    jobs = args.jobs
+    if args.backend == "pool" and jobs == 1:
         jobs = None  # --backend pool without --jobs: one per core
-    return create_backend(
-        spec, jobs=jobs, workers=worker_list, rendezvous=workers_from
-    )
+    try:
+        return create_backend(
+            args.backend, jobs=jobs, workers=workers,
+            rendezvous=args.workers_from or None,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _build_observability(args: argparse.Namespace):
@@ -293,7 +288,7 @@ def _cmd_join_multi(args: argparse.Namespace) -> int:
     """``join --seeds K``: fan K seeded runs over ``--jobs`` workers."""
     from repro.experiments.parallel import (
         JoinTaskConfig,
-        run_join_tasks,
+        run_join_task,
         seeded_configs,
     )
 
@@ -305,19 +300,13 @@ def _cmd_join_multi(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     seeds = range(args.seed, args.seed + args.seeds)
-    try:
-        backend = _build_backend(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    backend = _build_backend(args)
+    if backend is None:
         return 2
-    try:
-        results = run_join_tasks(
-            seeded_configs(base_config, seeds), jobs=args.jobs,
-            backend=backend,
+    with backend:
+        results = backend.map(
+            run_join_task, seeded_configs(base_config, seeds)
         )
-    finally:
-        if backend is not None:
-            backend.close()
     ok = True
     print(f"{'seed':>6}  {'members':>7}  {'mean noti':>9}  "
           f"{'max thm3':>8}  {'messages':>8}  consistent")
@@ -370,22 +359,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         topology_params=SMALL_TOPOLOGY,
     )
     seeds = range(args.seed, args.seed + args.seeds)
-    try:
-        backend = _build_backend(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    backend = _build_backend(args)
+    if backend is None:
         return 2
-    try:
-        sweep = sweep_fig15b(config, seeds, jobs=args.jobs, backend=backend)
-    finally:
-        if backend is not None:
-            backend.close()
+    with backend:
+        sweep = sweep_fig15b(config, seeds, backend=backend)
     print(f"== {config.label}; seeds {list(seeds)} ==")
     print(sweep.mean_join_noti)
     print(f"Theorem 5 bound    : {sweep.theorem5_bound:.3f}")
     print(f"bound never exceeded: {sweep.bound_never_exceeded}")
     print(f"all consistent     : {sweep.all_consistent}")
-    if backend is not None and backend.name == "remote":
+    if backend.name == "remote":
         print(f"remote backend     : {backend.summary()}")
     if args.out:
         _write_sweep_json(args.out, config, list(seeds), sweep)
@@ -456,21 +440,14 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 def _cmd_churn_multi(args: argparse.Namespace, config) -> int:
     """``churn --seeds K``: fan K seeded lifecycles over the engine."""
-    from repro.experiments.churn import churn_seeds, run_churn_tasks
+    from repro.experiments.churn import churn_seeds, run_churn
 
     seeds = range(args.seed, args.seed + args.seeds)
-    try:
-        backend = _build_backend(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    backend = _build_backend(args)
+    if backend is None:
         return 2
-    try:
-        results = run_churn_tasks(
-            churn_seeds(config, seeds), jobs=args.jobs, backend=backend
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    with backend:
+        results = backend.map(run_churn, churn_seeds(config, seeds))
     ok = True
     print(f"{'seed':>6}  {'phases':>6}  {'members':>7}  "
           f"{'stretch':>14}  consistent")
@@ -605,11 +582,25 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` type: a non-negative int (0 = one per CPU)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared execution-engine flags to a campaign
     subcommand (see :func:`_build_backend`)."""
     from repro.exec import BACKEND_NAMES
 
+    parser.add_argument(
+        "--jobs", type=_jobs, default=1,
+        help="worker processes for the campaign's tasks (0 = one per "
+             "CPU; 1 runs inline unless --backend pool)",
+    )
     parser.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
         help="execution backend (default: inline for --jobs 1, "
@@ -657,10 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig15b.add_argument("--m", type=int, default=100)
     fig15b.add_argument("--digits", type=int, default=8)
     fig15b.add_argument("--seed", type=int, default=0)
-    fig15b.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for multi-config runs (e.g. --full)",
-    )
     _add_backend_args(fig15b)
     fig15b.set_defaults(func=_cmd_fig15b)
 
@@ -715,10 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=1,
         help="run this many seeds (starting at --seed) and aggregate",
     )
-    join.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for --seeds > 1",
-    )
     _add_backend_args(join)
     join.set_defaults(func=_cmd_join)
 
@@ -743,8 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first seed of the sweep")
     sweep.add_argument("--seeds", type=int, default=5,
                        help="number of seeds")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes")
     sweep.add_argument("--out", default=None, metavar="OUT.json",
                        help="archive the per-seed results as JSON "
                             "(backend-independent content)")
@@ -760,8 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--seeds", type=int, default=1,
                        help="run this many seeds (starting at --seed) "
                             "and aggregate")
-    churn.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for --seeds > 1")
     _add_backend_args(churn)
     churn.set_defaults(func=_cmd_churn)
 

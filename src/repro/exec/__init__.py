@@ -6,7 +6,8 @@ mapped through a pure task function, merged deterministically in task
 order.  This package makes *where* those tasks run a plug:
 
 * :mod:`repro.exec.backend` -- the :class:`ExecutionBackend` contract,
-  the serial :class:`InlineBackend`, and the factories.
+  the serial :class:`InlineBackend`, and :func:`create_backend`, the
+  one backend-selection rule.
 * :mod:`repro.exec.pool` -- :class:`ProcessPoolBackend`: one worker
   per core on this host, chunked dispatch, initializer-pinned task
   function, crash-requeue with bounded per-task retries.
@@ -17,9 +18,9 @@ order.  This package makes *where* those tasks run a plug:
 * :mod:`repro.exec.taskcodec` / :mod:`repro.exec.registry` -- how
   configs, results and task functions cross the wire.
 
-The engine's invariant, asserted by
-:func:`repro.experiments.parallel.verified_parallel_map` and the
-cross-backend property tests: for any backend ``b``,
+A campaign takes one backend and calls ``backend.map(fn, tasks)``;
+the engine's invariant, asserted by the cross-backend tests and the
+``campaign`` benchmark: for any backend ``b``,
 ``b.map(fn, tasks) == [fn(t) for t in tasks]``.
 
 Names are resolved lazily (PEP 562) so importing the engine's contract
@@ -36,7 +37,6 @@ from repro.exec.backend import (
     ProgressFn,
     create_backend,
     default_chunksize,
-    resolve_backend,
     resolve_jobs,
 )
 
@@ -94,7 +94,6 @@ __all__ = [
     "discover_workers",
     "encode_task_value",
     "remote_task",
-    "resolve_backend",
     "resolve_jobs",
     "resolve_task",
     "run_worker_daemon",

@@ -11,13 +11,13 @@ that lets any campaign run on any substrate:
   task order**.  Because tasks are self-seeding and the merge is
   order-stable, ``backend.map(fn, tasks)`` equals ``[fn(t) for t in
   tasks]`` for *every* backend -- the cross-backend equality property
-  :func:`repro.experiments.parallel.verified_parallel_map` asserts.
-* :class:`InlineBackend` -- the serial in-process path (what
-  ``jobs <= 1`` always meant): no executor, no pickling, byte-for-byte
-  the plain loop.
-* :func:`create_backend` / :func:`resolve_backend` -- the factories
-  the CLI (``--backend inline|pool|remote``) and the benches build
-  engines through.
+  the backend tests and the ``campaign`` benchmark assert.
+* :class:`InlineBackend` -- the serial in-process path: no executor,
+  no pickling, byte-for-byte the plain loop.  Every campaign function
+  runs on it unless handed another backend.
+* :func:`create_backend` -- the one place the backend-selection rule
+  lives; the CLI (``--backend``/``--jobs``/``--workers``) and the
+  benches (``REPRO_BENCH_*``) only parse their settings and call it.
 
 The other implementations live next door:
 :class:`~repro.exec.pool.ProcessPoolBackend` (single host, one worker
@@ -156,65 +156,49 @@ BACKEND_NAMES = ("inline", "pool", "remote")
 
 
 def create_backend(
-    spec: str,
+    spec: Optional[str] = None,
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
     workers: Optional[Sequence] = None,
     rendezvous=None,
-    max_attempts: int = 3,
 ) -> ExecutionBackend:
-    """Build a backend from its ``--backend`` spelling.
+    """The backend a campaign runs on.
 
-    ``jobs``/``chunksize`` configure the pool backend; ``workers`` (a
-    list of ``(host, port)`` or ``"host:port"``) and/or ``rendezvous``
-    configure the remote one.  ``max_attempts`` bounds per-task retries
-    after a worker crash (pool and remote).
+    ``spec`` names it (``inline``, ``pool`` or ``remote``; an
+    :class:`ExecutionBackend` passes through).  With no name the
+    settings choose:
+
+    * remote when a ``workers`` list (``(host, port)`` pairs or
+      ``"host:port"`` strings) or a ``rendezvous`` is given, even an
+      empty list (which the remote backend then refuses);
+    * else inline for one job;
+    * else the process pool with ``jobs`` workers (None or 0: one per
+      CPU).
+
+    The caller owns the result: close it, or use it as a context
+    manager.  Negative ``jobs`` and a remote backend with neither
+    workers nor a rendezvous raise :class:`ValueError`.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
+    if spec is None:
+        if workers is not None or rendezvous is not None:
+            spec = "remote"
+        elif resolve_jobs(jobs) <= 1:
+            spec = "inline"
+        else:
+            spec = "pool"
     if spec == "inline":
         return InlineBackend()
     if spec == "pool":
         from repro.exec.pool import ProcessPoolBackend
 
-        return ProcessPoolBackend(
-            jobs=jobs, chunksize=chunksize, max_attempts=max_attempts
-        )
+        return ProcessPoolBackend(jobs=jobs)
     if spec == "remote":
         from repro.exec.remote import RemoteBackend
 
-        return RemoteBackend(
-            workers=workers, rendezvous=rendezvous, max_attempts=max_attempts
-        )
+        return RemoteBackend(workers=workers, rendezvous=rendezvous)
     raise ValueError(
         f"unknown backend {spec!r} (expected one of {BACKEND_NAMES})"
-    )
-
-
-def resolve_backend(
-    backend: Optional[ExecutionBackend],
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-) -> Tuple[ExecutionBackend, bool]:
-    """The backend a campaign should run on, plus whether the caller
-    now owns (and must close) it.
-
-    An explicit ``backend`` wins and stays caller-owned.  Otherwise the
-    historical ``jobs`` contract applies: ``jobs <= 1`` is the serial
-    inline path, anything else the process pool.
-    """
-    if backend is not None:
-        return backend, False
-    if jobs is not None and jobs == 1:
-        return InlineBackend(), True
-    resolved = resolve_jobs(jobs)
-    if resolved <= 1:
-        return InlineBackend(), True
-    from repro.exec.pool import ProcessPoolBackend
-
-    return (
-        ProcessPoolBackend(jobs=resolved, chunksize=chunksize),
-        True,
     )
 
 
@@ -226,6 +210,5 @@ __all__ = [
     "ProgressFn",
     "create_backend",
     "default_chunksize",
-    "resolve_backend",
     "resolve_jobs",
 ]

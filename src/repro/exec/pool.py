@@ -1,8 +1,7 @@
 """Single-host process-pool backend (one worker per core).
 
-The original ``repro.experiments.parallel`` executor, moved behind the
-:class:`~repro.exec.backend.ExecutionBackend` contract with its two
-load-bearing optimizations intact:
+The :class:`~repro.exec.backend.ExecutionBackend` for one host, with
+three load-bearing properties:
 
 * **Chunked dispatch** -- tasks are submitted in contiguous chunks to
   amortize pickling and inter-process latency; chunking never changes
@@ -10,14 +9,13 @@ load-bearing optimizations intact:
 * **Pool-initializer pinning** -- the task function (and anything a
   ``functools.partial`` closes over) is pickled once per *worker*
   through the pool initializer instead of once per *chunk*.
-
-New here: **crash resilience**.  A worker segfaulting or being
-OOM-killed used to surface as :class:`BrokenProcessPool` and abort the
-whole sweep.  Now the backend rebuilds the pool and requeues every
-task that was in flight when it broke, as singleton chunks so a poison
-task only burns its own retry budget; tasks keep their results merged
-deterministically by index, and :class:`WorkerCrashError` is raised
-only once some task has crashed the pool ``max_attempts`` times.
+* **Crash resilience** -- a worker segfaulting or being OOM-killed
+  breaks the pool (:class:`BrokenProcessPool`); the backend rebuilds
+  it and requeues every task that was in flight, as singleton chunks
+  so a poison task only burns its own retry budget.  Results stay
+  merged deterministically by index, and :class:`WorkerCrashError` is
+  raised only once some task has crashed the pool ``max_attempts``
+  times.
 """
 
 from __future__ import annotations

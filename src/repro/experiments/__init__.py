@@ -7,8 +7,8 @@
 * :mod:`~repro.experiments.fig15a` -- Theorem 5 upper-bound curves.
 * :mod:`~repro.experiments.fig15b` -- the concurrent-join simulation
   (CDF of JoinNotiMsg per joiner) on a transit-stub topology.
-* :mod:`~repro.experiments.parallel` -- process-pool fan-out engine for
-  multi-seed campaigns (deterministic merge, serial-equivalent).
+* :mod:`~repro.experiments.parallel` -- the concurrent-join campaign
+  task; campaigns run on any :mod:`repro.exec` backend.
 """
 
 from repro.experiments.fig1 import figure1_example
@@ -18,7 +18,6 @@ from repro.experiments.fig15b import (
     Fig15bConfig,
     Fig15bResult,
     run_fig15b,
-    run_fig15b_many,
 )
 from repro.experiments.harness import (
     Cdf,
@@ -30,10 +29,7 @@ from repro.experiments.harness import (
 from repro.experiments.parallel import (
     JoinTaskConfig,
     JoinTaskResult,
-    parallel_map,
     run_join_task,
-    run_join_tasks,
-    verified_parallel_map,
 )
 from repro.experiments.sweep import sweep_fig15b
 
@@ -50,11 +46,7 @@ __all__ = [
     "figure15a_series",
     "figure1_example",
     "figure2_example",
-    "parallel_map",
     "run_fig15b",
-    "run_fig15b_many",
     "run_join_task",
-    "run_join_tasks",
     "sweep_fig15b",
-    "verified_parallel_map",
 ]

@@ -7,10 +7,11 @@ consistency verdict after every phase.  Used by ``python -m repro
 churn``, the churn example, and the lifecycle tests.
 
 Like every campaign task, :func:`run_churn` is self-seeding (all
-randomness derives from :class:`ChurnConfig`), so multi-seed churn
-campaigns (:func:`run_churn_tasks`) fan out over any execution
-backend -- serial, process pool, or a remote worker fleet -- with
-identical results.  It is registered on the wire as ``"churn"``.
+randomness derives from :class:`ChurnConfig`), so a multi-seed churn
+campaign, ``backend.map(run_churn, churn_seeds(config, seeds))``, runs
+on any execution backend -- serial, process pool, or a remote worker
+fleet -- with identical results.  It is registered on the wire as
+``"churn"``.
 """
 
 from __future__ import annotations
@@ -133,21 +134,3 @@ def churn_seeds(
 ) -> List[ChurnConfig]:
     """Per-seed copies of ``config`` (a churn campaign's task list)."""
     return [replace(config, seed=seed) for seed in seeds]
-
-
-def run_churn_tasks(
-    configs: Sequence[ChurnConfig],
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    progress=None,
-    backend=None,
-) -> List[ChurnResult]:
-    """Fan :func:`run_churn` over ``configs`` on the execution engine
-    (``jobs`` processes, or an explicit
-    :class:`repro.exec.ExecutionBackend`); results keep config order."""
-    from repro.experiments.parallel import parallel_map
-
-    return parallel_map(
-        run_churn, list(configs), jobs=jobs, chunksize=chunksize,
-        progress=progress, backend=backend,
-    )

@@ -8,9 +8,10 @@ The paper plots the Theorem 5 upper bound for ``n`` from 10,000 to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.expected_cost import expected_join_noti_upper_bound
+from repro.exec import ExecutionBackend, InlineBackend
 from repro.exec.registry import remote_task
 
 
@@ -68,34 +69,26 @@ def _series_task(
 def figure15a_all_series(
     configs: Sequence[Fig15aConfig] = FIG15A_CONFIGS,
     n_values: Sequence[int] = FIG15A_N_VALUES,
-    jobs: int = 1,
-    backend=None,
+    backend: Optional[ExecutionBackend] = None,
 ) -> List[List[Tuple[int, float]]]:
-    """All curves, one per config, optionally computed across worker
-    processes or an explicit :class:`repro.exec.ExecutionBackend` (the
+    """All curves, one per config, on ``backend`` (default inline; the
     closed-form bound is cheap at the paper's scale but grows with
     ``n`` sweeps; the engine keeps curve order regardless)."""
-    from repro.experiments.parallel import parallel_map
-
-    return parallel_map(
-        _series_task,
-        [(config, tuple(n_values)) for config in configs],
-        jobs=jobs,
-        backend=backend,
+    return (backend or InlineBackend()).map(
+        _series_task, [(config, tuple(n_values)) for config in configs]
     )
 
 
 def render_figure15a(
     configs: Sequence[Fig15aConfig] = FIG15A_CONFIGS,
     n_values: Sequence[int] = FIG15A_N_VALUES,
-    jobs: int = 1,
 ) -> str:
     """Text table with one column per curve (the figure's four lines)."""
     header = "       n  " + "  ".join(f"{c.label:>18}" for c in configs)
     lines = [header]
     series = [
         dict(curve)
-        for curve in figure15a_all_series(configs, n_values, jobs=jobs)
+        for curve in figure15a_all_series(configs, n_values)
     ]
     for n in n_values:
         row = f"{n:>8}  " + "  ".join(

@@ -15,7 +15,7 @@ parameters are scaled down so tests and benches stay fast, while
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.expected_cost import (
     expected_join_noti_upper_bound,
@@ -118,21 +118,6 @@ def run_fig15b(config: Fig15bConfig) -> Fig15bResult:
         total_messages=network.stats.total_messages,
         message_counts=network.stats.snapshot(),
     )
-
-
-def run_fig15b_many(
-    configs: "Sequence[Fig15bConfig]",
-    jobs: int = 1,
-    progress=None,
-    backend=None,
-) -> List[Fig15bResult]:
-    """Run several configurations (e.g. :data:`PAPER_CONFIGS`), fanned
-    over worker processes when ``jobs > 1`` (or over an explicit
-    :class:`repro.exec.ExecutionBackend`); results keep config order."""
-    from repro.experiments.parallel import parallel_map
-
-    return parallel_map(run_fig15b, list(configs), jobs=jobs,
-                        progress=progress, backend=backend)
 
 
 #: The paper's four configurations, at full scale (8320-router topology).

@@ -1,146 +1,32 @@
-"""Campaign fan-out: the experiment layer's door into the engine.
+"""The concurrent-join campaign task (CLI ``repro join --seeds``, the
+join-cost benches, the ``campaign`` benchmark).
 
-The paper's evaluation -- and every bench derived from it -- is a
-multi-seed simulation campaign: the same event-driven run repeated over
-``seed x config`` points, then aggregated.  Each run is CPU-bound pure
-Python, so threads cannot help; campaigns fan out over *processes*
-(one per core) or over a fleet of ``repro worker`` daemons instead.
-
-The machinery lives in :mod:`repro.exec` -- the backend-pluggable
-execution engine (:class:`~repro.exec.InlineBackend`,
-:class:`~repro.exec.pool.ProcessPoolBackend`,
-:class:`~repro.exec.remote.RemoteBackend`).  This module keeps the
-experiment-facing surface:
-
-* :func:`parallel_map` -- ``[fn(t) for t in tasks]`` on any backend.
-  The historical ``jobs`` contract still holds (``jobs <= 1`` is the
-  serial in-process loop, ``jobs > 1`` the process pool), and an
-  explicit ``backend=`` overrides it.
-* :func:`verified_parallel_map` -- runs the chosen backend *and* the
-  inline reference and asserts equality: the engine's cross-backend
-  determinism guarantee as an executable check.
-* :class:`JoinTaskConfig` / :func:`run_join_task` -- the ready-made
-  self-seeding concurrent-join task (CLI ``repro join``, the join-cost
-  benches), registered on the wire as ``"join"``.
-
-Design rules that keep any fan-out trustworthy:
-
-* **Self-seeding tasks.**  A task is a picklable (and wire-codable)
-  config that carries its own seed; the task function derives every
-  RNG it uses from that config.  Workers never share RNG state, so
-  results are independent of scheduling order, worker count *and
-  backend*.
-* **Deterministic merge.**  Results are reassembled strictly in task
-  order, whatever order workers finish in (the shared
-  :meth:`~repro.exec.ExecutionBackend.map` merge).
+A campaign is ``backend.map(run_join_task, seeded_configs(config,
+seeds))`` on any :class:`repro.exec.ExecutionBackend`.  The task is
+self-seeding -- every RNG it uses derives from its config -- so the
+results are independent of scheduling order, worker count and backend,
+and :meth:`~repro.exec.ExecutionBackend.map` merges them in task order.
+The config and result types are named on the wire by
+:mod:`repro.exec.taskcodec`, and the task function is registered there
+as ``"join"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec import (
-    ExecutionBackend,
-    InlineBackend,
-    ProgressFn,
-    default_chunksize,
-    resolve_backend,
-    resolve_jobs,
-)
 from repro.exec.registry import remote_task
 from repro.experiments.workloads import make_workload
 from repro.protocol.sizing import SizingPolicy
 from repro.topology.transit_stub import TransitStubParams
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 __all__ = [
     "JoinTaskConfig",
     "JoinTaskResult",
-    "ProgressFn",
-    "default_chunksize",
-    "parallel_map",
-    "resolve_jobs",
     "run_join_task",
-    "run_join_tasks",
     "seeded_configs",
-    "verified_parallel_map",
 ]
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    tasks: Sequence[T],
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-    backend: Optional[ExecutionBackend] = None,
-) -> List[R]:
-    """``[fn(t) for t in tasks]``, computed on the chosen backend.
-
-    With no explicit ``backend``, ``jobs`` picks one: ``jobs <= 1`` is
-    the plain in-process loop (no executor, no pickling), anything
-    else the process pool with ``fn`` and every task picklable.  An
-    explicit ``backend`` (e.g. a :class:`~repro.exec.RemoteBackend`)
-    wins over ``jobs`` and remains caller-owned (not closed here).
-    Results are merged in task order, so the output is independent of
-    the backend and of ``jobs`` whenever ``fn`` is a pure function of
-    its task.  ``progress`` is invoked in this process after each
-    completed task.
-    """
-    engine, owned = resolve_backend(backend, jobs=jobs, chunksize=chunksize)
-    try:
-        return engine.map(fn, tasks, progress=progress)
-    finally:
-        if owned:
-            engine.close()
-
-
-def verified_parallel_map(
-    fn: Callable[[T], R],
-    tasks: Sequence[T],
-    jobs: int,
-    chunksize: Optional[int] = None,
-    backend: Optional[ExecutionBackend] = None,
-) -> List[R]:
-    """Run :func:`parallel_map` and assert it matches the serial path.
-
-    Used by the cross-backend equivalence tests (and available as a
-    belt-and-braces mode anywhere determinism is suspect): runs the
-    tasks on the chosen backend *and* on the inline reference and
-    raises :class:`AssertionError` on any mismatch -- the engine's
-    "same results for any backend and any jobs count" guarantee as an
-    executable property.
-    """
-    candidate = parallel_map(
-        fn, tasks, jobs=jobs, chunksize=chunksize, backend=backend
-    )
-    reference = InlineBackend().map(fn, tasks)
-    if candidate != reference:
-        mismatches = [
-            i
-            for i, (c, r) in enumerate(zip(candidate, reference))
-            if c != r
-        ]
-        label = backend.name if backend is not None else f"jobs={jobs}"
-        raise AssertionError(
-            f"{label} results diverge from serial at tasks {mismatches}"
-        )
-    return candidate
-
-
-# ---------------------------------------------------------------------------
-# Ready-made parallel task: one concurrent-join experiment per seed.
 
 
 @dataclass(frozen=True)
@@ -186,7 +72,7 @@ class JoinTaskResult:
 @remote_task("join")
 def run_join_task(config: JoinTaskConfig) -> JoinTaskResult:
     """Run one concurrent-join experiment to quiescence (picklable,
-    wire-codable top-level task function for :func:`parallel_map`)."""
+    wire-codable top-level task function for ``backend.map``)."""
     workload = make_workload(
         base=config.base,
         num_digits=config.num_digits,
@@ -215,24 +101,8 @@ def run_join_task(config: JoinTaskConfig) -> JoinTaskResult:
     )
 
 
-def run_join_tasks(
-    configs: Sequence[JoinTaskConfig],
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-    backend: Optional[ExecutionBackend] = None,
-) -> List[JoinTaskResult]:
-    """Fan :func:`run_join_task` over ``configs``."""
-    return parallel_map(
-        run_join_task, configs, jobs=jobs, chunksize=chunksize,
-        progress=progress, backend=backend,
-    )
-
-
 def seeded_configs(
     config: JoinTaskConfig, seeds: Sequence[int]
 ) -> List[JoinTaskConfig]:
     """Copies of ``config`` differing only in seed (a seed sweep)."""
-    from dataclasses import replace
-
     return [replace(config, seed=seed) for seed in seeds]

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.exec import ExecutionBackend
+from repro.exec import ExecutionBackend, InlineBackend
 from repro.experiments.fig15b import Fig15bConfig, Fig15bResult, run_fig15b
 from repro.experiments.harness import Summary, summarize
-from repro.experiments.parallel import ProgressFn, parallel_map
 
 
 @dataclass
@@ -93,27 +92,18 @@ def sweep_configs(
 def sweep_fig15b(
     config: Fig15bConfig,
     seeds: Sequence[int],
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
     backend: Optional[ExecutionBackend] = None,
 ) -> Fig15bSweep:
-    """Run one Figure 15(b) configuration across several seeds.
+    """Run one Figure 15(b) configuration across several seeds, on
+    ``backend`` (default inline; e.g. a process pool or a
+    :class:`repro.exec.RemoteBackend` fleet).
 
-    ``jobs > 1`` fans the per-seed runs over worker processes via
-    :func:`repro.experiments.parallel.parallel_map`; an explicit
-    ``backend`` (e.g. a :class:`repro.exec.RemoteBackend` fleet)
-    overrides ``jobs``.  Each run derives all randomness from its own
-    config, so the results -- and any aggregate over them -- are
-    identical for every ``jobs`` value and every backend.
+    Each run derives all randomness from its own config, so the
+    results -- and any aggregate over them -- are identical on every
+    backend.
     """
-    results = parallel_map(
-        run_fig15b,
-        sweep_configs(config, seeds),
-        jobs=jobs,
-        chunksize=chunksize,
-        progress=progress,
-        backend=backend,
+    results = (backend or InlineBackend()).map(
+        run_fig15b, sweep_configs(config, seeds)
     )
     return Fig15bSweep(config, results)
 

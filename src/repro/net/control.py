@@ -46,6 +46,12 @@ ControlHandler = Callable[
 #: An unsolicited control frame as ``(op, body, source address)``.
 Unsolicited = Tuple[str, Dict[str, Any], Address]
 
+#: What decoding and dispatching a datagram raises when the datagram is
+#: garbage (undecodable, half-spoken, or a body a handler cannot
+#: parse, e.g. ``{"limit": "abc"}``).  Every receive path drops it; the
+#: node transport counts it as ``malformed``.
+MALFORMED = (CodecError, KeyError, TypeError, ValueError)
+
 #: Unsolicited frames kept while nobody is in :meth:`ControlClient.wait`
 #: (oldest dropped first; every push has an idempotent poll behind it).
 MAX_INBOX = 256
@@ -81,7 +87,7 @@ def serve_control_datagram(
     what arrives on its socket)."""
     try:
         return control_reply(decode_frame(data), handle, addr)
-    except (CodecError, KeyError, TypeError, ValueError):
+    except MALFORMED:
         return None
 
 
@@ -190,6 +196,7 @@ __all__ = [
     "ControlClient",
     "ControlError",
     "ControlHandler",
+    "MALFORMED",
     "MAX_INBOX",
     "control_reply",
     "serve_control_datagram",

@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
 from repro.ids.digits import NodeId
 from repro.network.message import Message
 from repro.network.stats import MessageStats
-from repro.net.control import control_reply
+from repro.net.control import MALFORMED, control_reply
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.wire import (
     ACK,
@@ -79,7 +79,6 @@ from repro.net.wire import (
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.runtime.codec import CodecError
 from repro.runtime.realtime import AsyncioRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -611,7 +610,7 @@ class DatagramTransport:
                 self._on_ctl_frame(frame, addr)
             elif kind == RSP:
                 self._on_rsp_frame(frame)
-        except (CodecError, KeyError, TypeError):
+        except MALFORMED:
             # Garbage off the wire must never kill a daemon.
             self.counters["malformed"] += 1
 

@@ -95,8 +95,15 @@ class RemoteTelemetry:
         the following page and ``done`` says whether it would be
         empty.  Tracer lists are append-only, so a cursor taken from
         one page stays valid for the next request even while the
-        daemon keeps recording.
+        daemon keeps recording.  A negative cursor is answered with
+        ``{"error": ...}``: as a slice start it would count from the
+        end, and a collector following ``next`` would re-read the
+        trace from the start.
         """
+        if spans_from < 0 or events_from < 0:
+            return {
+                "error": f"negative cursor [{spans_from}, {events_from}]"
+            }
         limit = max(1, int(limit))
         spans = self.tracer.spans()
         events = self.tracer.events()

@@ -9,7 +9,6 @@ from repro.exec import (
     ExecutionError,
     InlineBackend,
     create_backend,
-    resolve_backend,
 )
 from repro.exec.pool import ProcessPoolBackend, WorkerCrashError
 from tests.exec.task_fns import always_crash, boom, crash_once, double
@@ -86,17 +85,35 @@ class TestFactories:
         with pytest.raises(ValueError, match="unknown backend"):
             create_backend("threads")
 
-    def test_resolve_backend_ownership(self):
-        explicit = InlineBackend()
-        backend, owned = resolve_backend(explicit, jobs=8)
-        assert backend is explicit and not owned
+    def test_create_backend_selection_rule(self, monkeypatch):
+        import os
 
-        backend, owned = resolve_backend(None, jobs=1)
-        assert isinstance(backend, InlineBackend) and owned
+        from repro.exec.remote import RemoteBackend
 
-        backend, owned = resolve_backend(None, jobs=3)
-        assert isinstance(backend, ProcessPoolBackend) and owned
-        assert backend.jobs == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        # Workers or a rendezvous mean remote, whatever jobs says.
+        remote = create_backend(jobs=1, workers=["127.0.0.1:7001"])
+        assert isinstance(remote, RemoteBackend)
+        assert isinstance(
+            create_backend(jobs=4, rendezvous="127.0.0.1:9000"),
+            RemoteBackend,
+        )
+        # Else one job runs inline, more (or 0/None: every CPU) pool.
+        assert isinstance(create_backend(jobs=1), InlineBackend)
+        for jobs, expected in ((3, 3), (0, 6), (None, 6)):
+            pool = create_backend(jobs=jobs)
+            assert isinstance(pool, ProcessPoolBackend)
+            assert pool.jobs == expected
+        # A name wins over the settings.
+        assert isinstance(create_backend("inline", jobs=4), InlineBackend)
+        assert create_backend("pool", jobs=1).jobs == 1
+        with pytest.raises(ValueError, match="jobs"):
+            create_backend(jobs=-1)
+        with pytest.raises(ValueError, match="rendezvous"):
+            create_backend("remote")
+        # An empty roster is still a roster: remote, which refuses it.
+        with pytest.raises(ValueError, match="rendezvous"):
+            create_backend(jobs=4, workers=[])
 
 
 class TestPoolBackend:

@@ -1,23 +1,27 @@
-"""Tests for the process fan-out engine (:mod:`repro.experiments.parallel`).
+"""Tests for campaign fan-out on the execution backends.
 
-The load-bearing property throughout: ``parallel_map(fn, tasks, jobs=k)``
-equals ``[fn(t) for t in tasks]`` for every ``k`` and chunk size -- the
-simulation campaign results must not depend on how they were scheduled.
+The load-bearing property throughout: ``backend.map(fn, tasks)``
+equals ``[fn(t) for t in tasks]`` for every backend, worker count and
+chunk size -- the simulation campaign results must not depend on how
+they were scheduled.  The concurrent-join task itself lives in
+:mod:`repro.experiments.parallel`.
 """
 
 import os
 
 import pytest
 
+from repro.exec import (
+    InlineBackend,
+    ProcessPoolBackend,
+    default_chunksize,
+    resolve_jobs,
+)
 from repro.experiments.fig15b import Fig15bConfig
 from repro.experiments.parallel import (
     JoinTaskConfig,
-    default_chunksize,
-    parallel_map,
-    resolve_jobs,
-    run_join_tasks,
+    run_join_task,
     seeded_configs,
-    verified_parallel_map,
 )
 from repro.experiments.sweep import sweep_fig15b
 from repro.experiments.workloads import SMALL_TOPOLOGY
@@ -26,11 +30,6 @@ from repro.experiments.workloads import SMALL_TOPOLOGY
 def _square(x):
     """Module-level so worker processes can unpickle it."""
     return x * x
-
-
-def _worker_pid(_):
-    """Deliberately scheduling-dependent (for the verifier's error path)."""
-    return os.getpid()
 
 
 class TestResolveJobs:
@@ -58,29 +57,31 @@ class TestDefaultChunksize:
 
 
 class TestParallelMap:
+    """``backend.map`` on the inline and pool backends."""
+
     def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        with ProcessPoolBackend(jobs=4) as pool:
+            assert pool.map(_square, []) == []
 
     def test_serial_path_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert InlineBackend().map(_square, [3, 1, 2]) == [9, 1, 4]
 
     def test_parallel_equals_serial(self):
         tasks = list(range(17))
-        serial = parallel_map(_square, tasks, jobs=1)
+        serial = InlineBackend().map(_square, tasks)
         for jobs in (2, 4):
             for chunksize in (None, 1, 3, 17):
-                assert (
-                    parallel_map(_square, tasks, jobs=jobs,
-                                 chunksize=chunksize)
-                    == serial
-                )
+                pool = ProcessPoolBackend(jobs=jobs, chunksize=chunksize)
+                with pool:
+                    assert pool.map(_square, tasks) == serial
 
     def test_progress_reaches_total(self):
         calls = []
-        parallel_map(
-            _square, list(range(7)), jobs=2, chunksize=2,
-            progress=lambda done, total: calls.append((done, total)),
-        )
+        with ProcessPoolBackend(jobs=2, chunksize=2) as pool:
+            pool.map(
+                _square, list(range(7)),
+                progress=lambda done, total: calls.append((done, total)),
+            )
         dones = [done for done, _ in calls]
         assert dones == sorted(dones)
         assert calls[-1][0] == 7
@@ -88,28 +89,17 @@ class TestParallelMap:
 
     def test_serial_progress_after_every_task(self):
         calls = []
-        parallel_map(
-            _square, [5, 6], jobs=1,
-            progress=lambda done, total: calls.append((done, total)),
-        )
+        with ProcessPoolBackend(jobs=1) as pool:
+            pool.map(
+                _square, [5, 6],
+                progress=lambda done, total: calls.append((done, total)),
+            )
         assert calls == [(1, 2), (2, 2)]
 
     def test_single_task_short_circuits(self):
         # jobs > 1 with one task must not pay for an executor.
-        assert parallel_map(_square, [7], jobs=8) == [49]
-
-
-class TestVerifiedParallelMap:
-    def test_deterministic_fn_passes(self):
-        assert verified_parallel_map(
-            _square, list(range(9)), jobs=3
-        ) == [x * x for x in range(9)]
-
-    def test_scheduling_dependent_fn_caught(self):
-        # Worker processes have different PIDs from the coordinator, so
-        # a fn leaking scheduling state must trip the verifier.
-        with pytest.raises(AssertionError, match="diverge"):
-            verified_parallel_map(_worker_pid, [1, 2, 3, 4], jobs=2)
+        with ProcessPoolBackend(jobs=8) as pool:
+            assert pool.map(_square, [7]) == [49]
 
 
 class TestSeededConfigs:
@@ -125,8 +115,9 @@ class TestJoinTasks:
         configs = seeded_configs(
             JoinTaskConfig(base=16, num_digits=8, n=60, m=20), [0, 1, 2]
         )
-        serial = run_join_tasks(configs, jobs=1)
-        parallel = run_join_tasks(configs, jobs=3)
+        serial = InlineBackend().map(run_join_task, configs)
+        with ProcessPoolBackend(jobs=3) as pool:
+            parallel = pool.map(run_join_task, configs)
         assert serial == parallel
         assert all(r.consistent and r.all_in_system for r in serial)
         assert [r.seed for r in serial] == [0, 1, 2]
@@ -134,8 +125,8 @@ class TestJoinTasks:
 
 class TestSweepJobsEquivalence:
     def test_sweep_identical_across_jobs(self):
-        """ISSUE acceptance: jobs=1 vs jobs=4 sweeps agree per seed and
-        in aggregate."""
+        """An inline sweep and one on a 4-worker pool agree per seed
+        and in aggregate."""
         config = Fig15bConfig(
             n=60,
             m=20,
@@ -145,8 +136,9 @@ class TestSweepJobsEquivalence:
             topology_params=SMALL_TOPOLOGY,
         )
         seeds = [0, 1, 2, 3]
-        serial = sweep_fig15b(config, seeds, jobs=1)
-        parallel = sweep_fig15b(config, seeds, jobs=4)
+        serial = sweep_fig15b(config, seeds)
+        with ProcessPoolBackend(jobs=4) as pool:
+            parallel = sweep_fig15b(config, seeds, backend=pool)
 
         for left, right in zip(serial.results, parallel.results):
             assert left.config == right.config

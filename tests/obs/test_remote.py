@@ -62,6 +62,16 @@ class TestExportPaging:
         assert len(page["spans"]) + len(page["events"]) == 5
         assert page["done"] is False
 
+    @pytest.mark.parametrize("cursor", [(0, -3), (-1, 0), (-2, -2)])
+    def test_negative_cursor_is_an_error(self, cursor):
+        telemetry = RemoteTelemetry()
+        _fill(telemetry, spans=2, events=5)
+        page = telemetry.export_page(
+            spans_from=cursor[0], events_from=cursor[1]
+        )
+        assert set(page) == {"error"}
+        assert "negative cursor" in page["error"]
+
     def test_spool_round_trips(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         telemetry = RemoteTelemetry(spool_path=path)

@@ -327,6 +327,42 @@ class TestOneEventQueue:
         assert not offenders, offenders
 
 
+class TestOneBackendKnob:
+    """A campaign takes one :class:`repro.exec.ExecutionBackend`; the
+    rule that picks it lives in :func:`repro.exec.create_backend`."""
+
+    def test_no_experiment_function_takes_jobs_or_chunksize(self):
+        offenders = []
+        for path in sorted((SRC / "repro" / "experiments").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    continue
+                args = node.args
+                names = {
+                    arg.arg
+                    for arg in args.posonlyargs + args.args + args.kwonlyargs
+                }
+                for knob in sorted(names & {"jobs", "chunksize"}):
+                    offenders.append(
+                        f"{path.relative_to(SRC)}:{node.lineno} "
+                        f"{node.name}({knob})"
+                    )
+        assert not offenders, offenders
+
+    def test_no_second_selection_rule(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in ("parallel_map", "resolve_backend")
+        ]
+        assert not offenders, offenders
+
+
 class TestNoNumpy:
     def test_no_source_file_imports_numpy(self):
         offenders = [

@@ -205,10 +205,31 @@ class TestExecCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--backend", "threads"])
 
+    @pytest.mark.parametrize("argv", [
+        ["fig15b", "--jobs", "-1"],
+        ["join", "--seeds", "2", "--jobs", "-1"],
+        ["sweep", "--jobs", "-3"],
+        ["sweep", "--backend", "pool", "--jobs", "-3"],
+        ["churn", "--seeds", "2", "--jobs", "-2"],
+        ["sweep", "--jobs", "two"],
+    ])
+    def test_bad_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "non-negative" in err
+
     def test_remote_backend_without_workers_is_refused(self, capsys):
         assert main(
             ["sweep", "--seeds", "2", "--n", "40", "--m", "10",
              "--backend", "remote"]
+        ) == 2
+        assert "rendezvous" in capsys.readouterr().err
+        # A --workers flag naming no worker still means remote.
+        assert main(
+            ["sweep", "--seeds", "2", "--n", "40", "--m", "10",
+             "--workers", ","]
         ) == 2
         assert "rendezvous" in capsys.readouterr().err
 
@@ -235,3 +256,73 @@ class TestExecCli:
         out = capsys.readouterr().out
         assert "seed" in out
         assert "all consistent" in out
+
+
+#: The four campaign commands at a size that runs in well under a
+#: second inline.
+CAMPAIGNS = {
+    "fig15b": ["fig15b", "--n", "20", "--m", "5", "--digits", "4"],
+    "join": ["join", "--seeds", "2", "--n", "20", "--m", "5",
+             "--base", "4", "--digits", "4"],
+    "sweep": ["sweep", "--seeds", "2", "--n", "20", "--m", "5",
+              "--digits", "4"],
+    "churn": ["churn", "--seeds", "2", "--n", "20", "--m", "6",
+              "--leaves", "2", "--failures", "2"],
+}
+
+#: Engine flags -> (backend class, jobs) that runs the campaign, with
+#: ``os.cpu_count()`` pinned to 8.  Recorded before the selection rule
+#: moved into ``create_backend``; it must not change.
+PARITY = {
+    (): ("InlineBackend", None),
+    ("--jobs", "1"): ("InlineBackend", None),
+    ("--jobs", "2"): ("ProcessPoolBackend", 2),
+    ("--jobs", "0"): ("ProcessPoolBackend", 8),
+    ("--backend", "inline", "--jobs", "4"): ("InlineBackend", None),
+    ("--backend", "pool"): ("ProcessPoolBackend", 8),
+    ("--backend", "pool", "--jobs", "1"): ("ProcessPoolBackend", 8),
+    ("--backend", "pool", "--jobs", "3"): ("ProcessPoolBackend", 3),
+    ("--workers", "a:1,b:2"): ("RemoteBackend", None),
+    ("--workers-from", "h:9"): ("RemoteBackend", None),
+}
+
+
+class TestBackendParity:
+    """Which backend each flag set selects, observed by a spy on
+    ``completions`` that notes the backend and then runs the tasks
+    inline (so no pool or socket is ever opened)."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        import os
+
+        from repro.exec import InlineBackend
+        from repro.exec.pool import ProcessPoolBackend
+        from repro.exec.remote import RemoteBackend
+
+        ran = []
+
+        def completions(self, fn, tasks):
+            ran.append((type(self).__name__, getattr(self, "jobs", None)))
+            for index, task in enumerate(tasks):
+                yield index, fn(task)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for cls in (InlineBackend, ProcessPoolBackend, RemoteBackend):
+            monkeypatch.setattr(cls, "completions", completions)
+        return ran
+
+    @pytest.mark.parametrize("command", sorted(CAMPAIGNS))
+    def test_flags_select_the_recorded_backend(self, command, spy, capsys):
+        outputs = {}
+        for flags, expected in PARITY.items():
+            spy.clear()
+            assert main(CAMPAIGNS[command] + list(flags)) == 0, flags
+            assert spy == [expected], flags
+            outputs[flags] = [
+                line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("remote backend")
+            ]
+        # Whatever ran the tasks, the command prints the same report.
+        reference = outputs[()]
+        assert all(lines == reference for lines in outputs.values())
