@@ -23,6 +23,7 @@ per type and per (sender, type).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ids.digits import NodeId
@@ -37,6 +38,28 @@ class _ZeroDict(dict):
 
     def __missing__(self, key):
         return 0
+
+
+def _flush_by_sender(
+    pending: Dict[Tuple[NodeId, str], int],
+    by_sender: Dict[Tuple[NodeId, str], Counter],
+    registry: MetricsRegistry,
+) -> None:
+    """Materialize pending per-sender counts into labelled counters
+    (a :class:`MessageStats`' registry collector)."""
+    if not pending:
+        return
+    counter = registry.counter
+    for key, amount in pending.items():
+        instrument = by_sender.get(key)
+        if instrument is None:
+            sender, name = key
+            instrument = counter(
+                "messages_sent_by", sender=str(sender), type=name
+            )
+            by_sender[key] = instrument
+        instrument.value += amount
+    pending.clear()
 
 
 class MessageStats:
@@ -65,9 +88,14 @@ class MessageStats:
         # ``messages_sent_by{sender=...,type=...}`` counter costs a
         # ``str(sender)`` plus label canonicalization, which is pure
         # overhead for the thousands of (sender, type) pairs a large
-        # run touches exactly while it runs, and reads are rare.
+        # run touches exactly while it runs.  Reads add pending to
+        # flushed counts; only the collector materializes.  It holds
+        # the two dicts, not this object, so nothing the registry
+        # holds refers back to it.
         self._by_sender_pending: Dict[Tuple[NodeId, str], int] = {}
-        self.registry.add_collector(self._flush_by_sender)
+        self.registry.add_collector(
+            partial(_flush_by_sender, self._by_sender_pending, self._by_sender)
+        )
         self._total_messages = self.registry.counter("messages_total")
         self._total_bytes = self.registry.counter("message_bytes_total")
         self._total_dropped = self.registry.counter("messages_dropped_total")
@@ -99,26 +127,6 @@ class MessageStats:
         pending[key] = pending.get(key, 0) + 1
         self._total_messages.value += 1
         self._total_bytes.value += size
-
-    def _flush_by_sender(self) -> None:
-        """Materialize pending per-sender counts into labelled counters
-        (runs via the registry's collector hook and before any direct
-        ``_by_sender`` read)."""
-        pending = self._by_sender_pending
-        if not pending:
-            return
-        by_sender = self._by_sender
-        counter = self.registry.counter
-        for key, amount in pending.items():
-            instrument = by_sender.get(key)
-            if instrument is None:
-                sender, name = key
-                instrument = counter(
-                    "messages_sent_by", sender=str(sender), type=name
-                )
-                by_sender[key] = instrument
-            instrument.value += amount
-        pending.clear()
 
     def on_drop(self, message: Message) -> None:
         """A message addressed to a crashed node was dropped."""
@@ -184,14 +192,14 @@ class MessageStats:
     @property
     def count_by_sender_type(self) -> Dict[NodeId, Dict[str, int]]:
         """Nested sender -> type -> count view (missing keys read 0)."""
-        self._flush_by_sender()
         out: Dict[NodeId, Dict[str, int]] = {}
-        for (sender, name), counter in self._by_sender.items():
+        for key in self._by_sender.keys() | self._by_sender_pending.keys():
+            sender, name = key
             per_sender = out.get(sender)
             if per_sender is None:
                 per_sender = _ZeroDict()
                 out[sender] = per_sender
-            per_sender[name] = counter.value
+            per_sender[name] = self._sent_by(key)
         return out
 
     @property
@@ -221,11 +229,14 @@ class MessageStats:
         counter = self._sent.get(type_name)
         return counter.value if counter is not None else 0
 
+    def _sent_by(self, key: Tuple[NodeId, str]) -> int:
+        counter = self._by_sender.get(key)
+        flushed = counter.value if counter is not None else 0
+        return flushed + self._by_sender_pending.get(key, 0)
+
     def sent_by(self, sender: NodeId, type_name: str) -> int:
         """Messages of ``type_name`` sent by ``sender``."""
-        self._flush_by_sender()
-        counter = self._by_sender.get((sender, type_name))
-        return counter.value if counter is not None else 0
+        return self._sent_by((sender, type_name))
 
     def sent_by_each(
         self, senders: Iterable[NodeId], type_name: str

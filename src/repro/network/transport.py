@@ -100,6 +100,11 @@ class Transport:
             raise UnknownDestinationError(str(node_id))
         del self._nodes[node_id]
 
+    def clear(self) -> None:
+        """Unregister every node (the owning network's teardown: the
+        registry is the transport's only reference to its nodes)."""
+        self._nodes.clear()
+
     def node(self, node_id: NodeId) -> "NetworkNode":
         """The registered node object for ``node_id`` (raises if unknown)."""
         try:

@@ -32,6 +32,7 @@ in the cheap metrics-only configuration.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -261,11 +262,29 @@ class LiveAuditor:
     # -- wiring ---------------------------------------------------------
 
     def attach(self) -> "LiveAuditor":
-        """Hook into the network's runtime and phase notifications."""
-        self.network.runtime.add_event_listener(self.on_event)
+        """Hook into the network's runtime and phase notifications.
+
+        The hooks hold this auditor weakly and fall silent once it is
+        dropped: the auditor holds its network, which owns the hooks,
+        so strong hooks would make every audited network a reference
+        cycle.
+        """
+        auditor_ref = weakref.ref(self)
+
+        def on_event(now: float, pending: int) -> None:
+            auditor = auditor_ref()
+            if auditor is not None and now >= auditor._next_sample:
+                auditor.on_event(now, pending)
+
+        def on_phase(node_id: Any, status: Any, time: float) -> None:
+            auditor = auditor_ref()
+            if auditor is not None:
+                auditor.on_phase(node_id, status, time)
+
+        self.network.runtime.add_event_listener(on_event)
         add_listener = getattr(self.network, "add_phase_listener", None)
         if add_listener is not None:
-            add_listener(self.on_phase)
+            add_listener(on_phase)
         return self
 
     def on_phase(self, node_id: Any, status: Any, time: float) -> None:

@@ -163,14 +163,16 @@ class MetricsRegistry:
         self._collectors: List[Any] = []
 
     def add_collector(self, collector) -> None:
-        """Register a callback invoked before reads (``value``,
-        ``snapshot``, ``instruments``, ``values_by_label``) so deferred
-        accounting can be flushed into instruments just in time."""
+        """Register ``collector(registry)``, invoked before reads
+        (``value``, ``snapshot``, ``instruments``, ``values_by_label``)
+        so deferred accounting can be flushed into instruments just in
+        time.  The registry is passed in, so a collector need not
+        refer back to it."""
         self._collectors.append(collector)
 
     def _collect(self) -> None:
         for collector in self._collectors:
-            collector()
+            collector(self)
 
     def _get_or_create(self, cls, name: str, labels: Dict[str, Any]):
         key = _label_key(name, labels)

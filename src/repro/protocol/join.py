@@ -22,6 +22,8 @@ the identical protocol over wall-clock asyncio timers.
 from __future__ import annotations
 
 import random
+import weakref
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -50,12 +52,31 @@ from repro.routing.oracle import build_consistent_tables
 from repro.routing.router import RouteResult, route
 from repro.routing.table import NeighborTable
 from repro.runtime import create_runtime
+from repro.runtime.collector import collector_paused
 from repro.runtime.interface import Runtime
 from repro.topology.attachment import ConstantLatencyModel, LatencyModel
 
 
+def _fan_out(listeners, node_id, status, time) -> None:
+    """Fan one phase transition out to every registered listener."""
+    for listener in listeners:
+        listener(node_id, status, time)
+
+
+def _departed(network_ref, node_id: NodeId) -> None:
+    """A node's departure hook: tell its network, if still alive."""
+    network = network_ref()
+    if network is not None:
+        network._on_node_departed(node_id)
+
+
 class JoinProtocolNetwork:
     """A hypercube-routing network running the join protocol."""
+
+    # Read by __del__, which also runs when __init__ raised before
+    # setting them.
+    transport = None
+    _owns_runtime = False
 
     def __init__(
         self,
@@ -73,11 +94,17 @@ class JoinProtocolNetwork:
         self.runtime: Runtime = (
             runtime if runtime is not None else create_runtime("sim")
         )
+        self._owns_runtime = runtime is None
         self.obs = obs
         self._join_observer: Optional[JoinObserver] = None
         # Callbacks invoked as ``cb(node_id, status, now)`` on every
         # join phase transition; see add_phase_listener.
         self._phase_listeners: List[Callable[..., None]] = []
+        # The hooks every node gets.  Neither holds the network
+        # strongly: ownership runs network -> runtime, transport, nodes
+        # and never back up (see __del__).
+        self._dispatch_phase = partial(_fan_out, self._phase_listeners)
+        self._on_departed = partial(_departed, weakref.ref(self))
         if obs is not None:
             # Message accounting shares the run's registry, the queue
             # probe samples the runtime, and join phase transitions
@@ -108,6 +135,18 @@ class JoinProtocolNetwork:
         # matches initial_ids, so rng.choice draws are unchanged.
         self._gateway_pool: Optional[List[NodeId]] = None
         self._rng = random.Random(seed)
+
+    def __del__(self) -> None:
+        # Every node refers up to the transport and the runtime, and
+        # they refer back down through the transport's registry and the
+        # runtime's pending events.  Emptying those two when the network
+        # is dropped leaves no reference cycle, so reference counting
+        # frees the whole simulation at once.  A runtime the caller
+        # passed in is the caller's, and its queue is left alone.
+        if self.transport is not None:
+            self.transport.clear()
+        if self._owns_runtime:
+            self.runtime.clear()
 
     @property
     def simulator(self) -> Runtime:
@@ -148,9 +187,10 @@ class JoinProtocolNetwork:
             runtime=runtime,
         )
         table_rng = random.Random(f"{seed}-oracle") if randomize_tables else None
-        tables = build_consistent_tables(initial_ids, table_rng)
-        for node_id in initial_ids:
-            net.add_s_node(node_id, tables[node_id])
+        with collector_paused():
+            tables = build_consistent_tables(initial_ids, table_rng)
+            for node_id in initial_ids:
+                net.add_s_node(node_id, tables[node_id])
         return net
 
     def add_s_node(self, node_id: NodeId, table: NeighborTable) -> ProtocolNode:
@@ -163,7 +203,7 @@ class JoinProtocolNetwork:
             sizing=self.sizing,
             trace=self.trace,
         )
-        node.on_departed = self._on_node_departed
+        node.on_departed = self._on_departed
         self.nodes[node_id] = node
         self.initial_ids.append(node_id)
         self._gateway_pool = None
@@ -245,7 +285,7 @@ class JoinProtocolNetwork:
             sizing=self.sizing,
             trace=self.trace,
         )
-        node.on_departed = self._on_node_departed
+        node.on_departed = self._on_departed
         listeners = self._phase_listeners
         if len(listeners) == 1:
             # Single listener (the usual case): call it directly, no
@@ -259,11 +299,6 @@ class JoinProtocolNetwork:
 
     # ------------------------------------------------------------------
     # observability hooks
-
-    def _dispatch_phase(self, node_id, status, time) -> None:
-        """Fan one phase transition out to every registered listener."""
-        for listener in self._phase_listeners:
-            listener(node_id, status, time)
 
     def add_phase_listener(
         self, listener: Callable[..., None]
@@ -279,6 +314,7 @@ class JoinProtocolNetwork:
 
         Call before starting joins; after :meth:`run`, call the
         returned auditor's ``finalize()`` for the quiescence gates.
+        Keep the auditor: the network's hooks hold it weakly.
         """
         from repro.obs.audit import LiveAuditor
 

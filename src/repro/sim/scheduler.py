@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.runtime.collector import collector_paused
 from repro.runtime.interface import SchedulingError
 from repro.sim.events import Event, EventQueue
 
@@ -147,9 +148,20 @@ class Simulator:
         Returns the number of events fired by this call.  ``until`` is an
         inclusive virtual-time bound; ``max_events`` bounds the number of
         events fired (useful as a watchdog in tests).
+
+        The cyclic garbage collector is paused while events fire and
+        the caller's collector state is restored when ``run`` returns
+        or raises.  Contract for handlers: they must not build
+        reference cycles.  A cycle a handler does build is not leaked,
+        but it is reclaimed only by a collection after ``run`` returns.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        with collector_paused():
+            return self._drain(until, max_events)
+
+    def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """The body of :meth:`run`, with the collector already paused."""
         self._running = True
         fired = 0
         on_event_fired = self.on_event_fired
@@ -214,6 +226,12 @@ class Simulator:
             # observe monotonic time.
             self._now = until
         return fired
+
+    def clear(self) -> None:
+        """Drop every pending event unfired (the owning network's
+        teardown: pending events are the queue's only references to
+        the simulation's nodes)."""
+        self._queue = EventQueue()
 
     def quiesced(self) -> bool:
         """True when no live events remain."""
