@@ -23,9 +23,12 @@ import os
 import pathlib
 import time
 
-from repro.exec import ProcessPoolBackend
-from repro.experiments.fig15b import Fig15bConfig
-from repro.experiments.sweep import sweep_fig15b
+from repro.exec import InlineBackend, ProcessPoolBackend
+from repro.experiments.parallel import (
+    JoinTaskConfig,
+    run_join_task,
+    seeded_configs,
+)
 from repro.experiments.workloads import SMALL_TOPOLOGY, make_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -44,15 +47,17 @@ REFERENCE_EVENTS_PER_SEC = 18_478
 #: for hosts whose single-core speed differs from the recording box.
 MIN_EVENTS_RATIO = float(os.environ.get("REPRO_MIN_EVENTS_RATIO", "3.0"))
 
-SWEEP_CONFIG = Fig15bConfig(
-    n=300,
-    m=100,
-    base=16,
-    num_digits=8,
-    use_topology=True,
-    topology_params=SMALL_TOPOLOGY,
+SWEEP_CONFIGS = seeded_configs(
+    JoinTaskConfig(
+        n=300,
+        m=100,
+        base=16,
+        num_digits=8,
+        use_topology=True,
+        topology_params=SMALL_TOPOLOGY,
+    ),
+    range(8),
 )
-SWEEP_SEEDS = range(8)
 SWEEP_JOBS = 4
 SWEEP_MIN_SPEEDUP = 2.5
 
@@ -80,21 +85,6 @@ def _time_join():
     start = time.process_time()
     net = _run_join_workload()
     return time.process_time() - start, net
-
-
-def _sweep_fingerprint(sweep):
-    """Everything observable about a sweep, for equality checks."""
-    return [
-        (
-            r.config.seed,
-            tuple(r.join_noti_counts),
-            r.consistent,
-            r.all_in_system,
-            r.total_messages,
-            tuple(sorted(r.message_counts.items())),
-        )
-        for r in sweep.results
-    ]
 
 
 def test_core_speed_gates():
@@ -149,20 +139,21 @@ def test_core_speed_gates():
 
     # -- Gate 2: fan-out scaling on the 8-seed sweep -------------------
     start = time.perf_counter()
-    serial = sweep_fig15b(SWEEP_CONFIG, SWEEP_SEEDS)
+    serial = InlineBackend().map(run_join_task, SWEEP_CONFIGS)
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
     with ProcessPoolBackend(jobs=SWEEP_JOBS) as pool:
-        parallel = sweep_fig15b(SWEEP_CONFIG, SWEEP_SEEDS, backend=pool)
+        parallel = pool.map(run_join_task, SWEEP_CONFIGS)
     parallel_s = time.perf_counter() - start
 
-    assert _sweep_fingerprint(serial) == _sweep_fingerprint(parallel)
-    assert serial.all_consistent
+    # Result equality covers everything observable about a run.
+    assert serial == parallel
+    assert all(r.consistent for r in serial)
 
     scaling = serial_s / parallel_s
     gate_applies = (os.cpu_count() or 1) >= SWEEP_JOBS
     record["fan_out"] = {
-        "seeds": len(list(SWEEP_SEEDS)),
+        "seeds": len(SWEEP_CONFIGS),
         "jobs": SWEEP_JOBS,
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),

@@ -15,11 +15,15 @@ backend explicitly (results are identical for any choice).
 import os
 
 from repro.exec import create_backend
-from repro.experiments.fig15b import Fig15bConfig
-from repro.experiments.sweep import sweep_fig15b
+from repro.experiments.harness import summarize
+from repro.experiments.parallel import (
+    JoinTaskConfig,
+    run_join_task,
+    seeded_configs,
+)
 from repro.experiments.workloads import SMALL_TOPOLOGY
 
-CONFIG = Fig15bConfig(
+CONFIG = JoinTaskConfig(
     n=300,
     m=100,
     base=16,
@@ -50,22 +54,21 @@ def bench_backend():
 
 def run_sweep():
     with bench_backend() as backend:
-        return sweep_fig15b(CONFIG, seeds=SEEDS, backend=backend)
+        return backend.map(run_join_task, seeded_configs(CONFIG, SEEDS))
 
 
 def test_fig15b_seed_sweep(benchmark):
-    sweep = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    stats = sweep.mean_join_noti
+    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    stats = summarize([r.mean_join_noti for r in results])
+    bound = CONFIG.theorem5_bound
     benchmark.extra_info["jobs"] = bench_jobs()
     benchmark.extra_info["mean_of_means"] = round(stats.mean, 3)
     benchmark.extra_info["stddev"] = round(stats.stddev, 3)
     benchmark.extra_info["envelope"] = (
         f"[{stats.minimum:.3f}, {stats.maximum:.3f}]"
     )
-    benchmark.extra_info["theorem5_bound"] = round(
-        sweep.theorem5_bound, 3
-    )
-    assert sweep.all_consistent
-    assert sweep.bound_never_exceeded
+    benchmark.extra_info["theorem5_bound"] = round(bound, 3)
+    assert all(r.consistent for r in results)
+    assert all(r.mean_join_noti < bound for r in results)
     # The seed-to-seed spread is modest relative to the bound gap.
-    assert stats.maximum < sweep.theorem5_bound
+    assert stats.maximum < bound

@@ -6,8 +6,7 @@ sweep on the transit-stub topology, in units of the topology's
 latencies (milliseconds).
 """
 
-from repro.experiments.fig15b import Fig15bConfig
-from repro.experiments.sweep import joining_period_stats
+from repro.experiments.harness import joining_period_stats
 from repro.experiments.workloads import SMALL_TOPOLOGY, make_workload
 
 

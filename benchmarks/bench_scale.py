@@ -35,10 +35,10 @@ import pathlib
 import time
 import tracemalloc
 
-from repro.experiments.fig15b import Fig15bConfig, run_fig15b
+from repro.experiments.fig15b import PAPER_CONFIGS
+from repro.experiments.parallel import run_join_task
 from repro.experiments.workloads import make_workload
 from repro.obs.audit import AuditConfig
-from repro.topology.transit_stub import TransitStubParams
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_scale.json"
@@ -66,16 +66,8 @@ MEM_GATE_KIB_PER_NODE = float(
 
 RUN_FIG15B = os.environ.get("REPRO_SCALE_FIG15B", "1") != "0"
 #: The paper's full-scale smaller setup: 8320 routers, 4096 end-hosts
-#: (3096 initial + 1000 joining), b=16, d=8.
-FIG15B_CONFIG = Fig15bConfig(
-    n=3096,
-    m=1000,
-    base=16,
-    num_digits=8,
-    seed=0,
-    use_topology=True,
-    topology_params=TransitStubParams(),
-)
+#: (3096 initial + 1000 joining), b=16, d=8, seed 0.
+FIG15B_CONFIG = PAPER_CONFIGS[0]
 
 
 def _run_scale_section():
@@ -167,7 +159,7 @@ def _run_fig15b_section():
     """Figure 15(b) at the paper's 8320-router scale."""
     gc.collect()
     t0 = time.process_time()
-    result = run_fig15b(FIG15B_CONFIG)
+    result = run_join_task(FIG15B_CONFIG)
     elapsed = time.process_time() - t0
 
     record = {
@@ -181,8 +173,8 @@ def _run_fig15b_section():
         },
         "run_sec": round(elapsed, 3),
         "mean_join_noti": round(result.mean_join_noti, 3),
-        "max_join_noti": max(result.join_noti_counts),
-        "theorem5_bound": round(result.theorem5_bound, 3),
+        "max_join_noti": result.max_join_noti,
+        "theorem5_bound": round(FIG15B_CONFIG.theorem5_bound, 3),
         "theorem3_violations": result.theorem3_violations,
         "consistent": result.consistent,
         "all_in_system": result.all_in_system,
@@ -192,9 +184,9 @@ def _run_fig15b_section():
     assert result.consistent, "figure 15(b) run ended inconsistent"
     assert result.all_in_system
     assert result.theorem3_violations == 0
-    assert result.mean_join_noti <= result.theorem5_bound, (
+    assert result.mean_join_noti <= FIG15B_CONFIG.theorem5_bound, (
         f"mean JoinNotiMsg {result.mean_join_noti:.3f} exceeds the "
-        f"Theorem 5 bound {result.theorem5_bound:.3f}"
+        f"Theorem 5 bound {FIG15B_CONFIG.theorem5_bound:.3f}"
     )
     return record
 

@@ -19,24 +19,25 @@ Run:  python examples/figure15b_full.py            # n=3096, d=8 only
 import sys
 import time
 
-from repro.experiments.fig15b import PAPER_CONFIGS, run_fig15b
+from repro.experiments.fig15b import PAPER_CONFIGS
 from repro.experiments.harness import render_cdf_table
+from repro.experiments.parallel import run_join_task
 
 
 def run_one(config) -> None:
     print(f"== {config.label} "
           f"(topology: {config.topology_params.num_routers} routers) ==")
     started = time.time()
-    result = run_fig15b(config)
+    result = run_join_task(config)
     elapsed = time.time() - started
     print(render_cdf_table(result.cdf))
     print(f"  mean JoinNotiMsg per joiner : {result.mean_join_noti:.3f}")
-    print(f"  Theorem 5 upper bound       : {result.theorem5_bound:.3f}")
+    print(f"  Theorem 5 upper bound       : {config.theorem5_bound:.3f}")
     print(f"  consistent / all in system  : "
           f"{result.consistent} / {result.all_in_system}")
     print(f"  Theorem 3 violations        : {result.theorem3_violations}")
     print(f"  SpeNotiMsg sent             : "
-          f"{result.message_counts.get('SpeNotiMsg', 0)}")
+          f"{result.counts_dict().get('SpeNotiMsg', 0)}")
     print(f"  total messages              : {result.total_messages}")
     print(f"  wall time                   : {elapsed:.1f}s")
     print()

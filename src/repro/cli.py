@@ -105,41 +105,35 @@ def _cmd_fig15a(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig15b(args: argparse.Namespace) -> int:
-    from repro.experiments.fig15b import (
-        Fig15bConfig,
-        PAPER_CONFIGS,
-        run_fig15b,
-    )
+    from repro.experiments.fig15b import PAPER_CONFIGS
     from repro.experiments.harness import render_cdf_table
-    from repro.experiments.workloads import SMALL_TOPOLOGY
+    from repro.experiments.parallel import JoinTaskConfig, run_join_task
+    from repro.experiments.plotting import cdf_chart
 
     if args.full:
         configs = PAPER_CONFIGS
     else:
         configs = (
-            Fig15bConfig(
+            JoinTaskConfig(
                 n=args.n,
                 m=args.m,
-                base=16,
                 num_digits=args.digits,
                 seed=args.seed,
-                topology_params=SMALL_TOPOLOGY,
+                use_topology=True,
             ),
         )
-    from repro.experiments.plotting import cdf_chart
-
     ok = True
     samples = {}
     backend = _build_backend(args)
     if backend is None:
         return 2
     with backend:
-        results = backend.map(run_fig15b, list(configs))
+        results = backend.map(run_join_task, list(configs))
     for config, result in zip(configs, results):
         print(f"== {config.label} ==")
         print(render_cdf_table(result.cdf))
         print(f"  mean {result.mean_join_noti:.3f}  "
-              f"bound {result.theorem5_bound:.3f}  "
+              f"bound {config.theorem5_bound:.3f}  "
               f"consistent {result.consistent}")
         ok = ok and result.consistent and result.all_in_system
         samples[config.label] = result.join_noti_counts
@@ -347,38 +341,45 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.fig15b import Fig15bConfig
-    from repro.experiments.sweep import sweep_fig15b
-    from repro.experiments.workloads import SMALL_TOPOLOGY
+    import json
 
-    config = Fig15bConfig(
-        n=args.n,
-        m=args.m,
-        base=16,
-        num_digits=args.digits,
-        topology_params=SMALL_TOPOLOGY,
+    from repro.experiments.harness import summarize
+    from repro.experiments.parallel import (
+        JoinTaskConfig,
+        run_join_task,
+        seeded_configs,
     )
-    seeds = range(args.seed, args.seed + args.seeds)
+
+    config = JoinTaskConfig(
+        n=args.n, m=args.m, num_digits=args.digits, use_topology=True
+    )
+    seeds = list(range(args.seed, args.seed + args.seeds))
     backend = _build_backend(args)
     if backend is None:
         return 2
     with backend:
-        sweep = sweep_fig15b(config, seeds, backend=backend)
-    print(f"== {config.label}; seeds {list(seeds)} ==")
-    print(sweep.mean_join_noti)
-    print(f"Theorem 5 bound    : {sweep.theorem5_bound:.3f}")
-    print(f"bound never exceeded: {sweep.bound_never_exceeded}")
-    print(f"all consistent     : {sweep.all_consistent}")
+        results = backend.map(run_join_task, seeded_configs(config, seeds))
+    sweep = _sweep_record(config, seeds, results)
+    means = summarize([r.mean_join_noti for r in results])
+    print(f"== {config.label}; seeds {seeds} ==")
+    print(f"mean JoinNotiMsg: {means.mean:.3f} +/- {means.stddev:.3f} "
+          f"[{means.minimum:.3f}, {means.maximum:.3f}] "
+          f"({means.count} seeds)")
+    print(f"Theorem 5 bound    : {sweep['theorem5_bound']:.3f}")
+    print(f"bound never exceeded: {sweep['bound_never_exceeded']}")
+    print(f"all consistent     : {sweep['all_consistent']}")
     if backend.name == "remote":
         print(f"remote backend     : {backend.summary()}")
     if args.out:
-        _write_sweep_json(args.out, config, list(seeds), sweep)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(sweep, handle, sort_keys=True, indent=2)
+            handle.write("\n")
         print(f"sweep json         : {args.out}")
-    return 0 if sweep.all_consistent else 1
+    return 0 if sweep["all_consistent"] else 1
 
 
-def _write_sweep_json(path, config, seeds, sweep) -> None:
-    """Archive a sweep as backend-independent JSON.
+def _sweep_record(config, seeds, results) -> dict:
+    """A sweep as backend-independent JSON content (``sweep --out``).
 
     The content is a pure function of the task configs -- per-seed
     results plus aggregates, nothing scheduling-dependent -- so runs
@@ -386,35 +387,33 @@ def _write_sweep_json(path, config, seeds, sweep) -> None:
     byte-identical files (the CI ``distributed-smoke`` job diffs
     them).
     """
-    import json
-
-    payload = {
+    bound = config.theorem5_bound
+    return {
         "config": {
             "n": config.n,
             "m": config.m,
             "base": config.base,
             "num_digits": config.num_digits,
         },
-        "seeds": list(seeds),
+        "seeds": seeds,
         "per_seed": [
             {
-                "seed": result.config.seed,
+                "seed": result.seed,
                 "mean_join_noti": result.mean_join_noti,
-                "max_join_noti": max(result.join_noti_counts),
+                "max_join_noti": result.max_join_noti,
                 "theorem3_violations": result.theorem3_violations,
                 "consistent": result.consistent,
                 "all_in_system": result.all_in_system,
                 "total_messages": result.total_messages,
             }
-            for result in sweep.results
+            for result in results
         ],
-        "theorem5_bound": sweep.theorem5_bound,
-        "bound_never_exceeded": sweep.bound_never_exceeded,
-        "all_consistent": sweep.all_consistent,
+        "theorem5_bound": bound,
+        "bound_never_exceeded": all(
+            result.mean_join_noti < bound for result in results
+        ),
+        "all_consistent": all(result.consistent for result in results),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
@@ -440,14 +439,15 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 def _cmd_churn_multi(args: argparse.Namespace, config) -> int:
     """``churn --seeds K``: fan K seeded lifecycles over the engine."""
-    from repro.experiments.churn import churn_seeds, run_churn
+    from repro.experiments.churn import run_churn
+    from repro.experiments.parallel import seeded_configs
 
     seeds = range(args.seed, args.seed + args.seeds)
     backend = _build_backend(args)
     if backend is None:
         return 2
     with backend:
-        results = backend.map(run_churn, churn_seeds(config, seeds))
+        results = backend.map(run_churn, seeded_configs(config, seeds))
     ok = True
     print(f"{'seed':>6}  {'phases':>6}  {'members':>7}  "
           f"{'stretch':>14}  consistent")
@@ -591,6 +591,15 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """``--n`` / ``--m`` / ``--seeds`` type: a positive int."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared execution-engine flags to a campaign
     subcommand (see :func:`_build_backend`)."""
@@ -644,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig15b = sub.add_parser("fig15b", help="Figure 15(b) simulation")
     fig15b.add_argument("--full", action="store_true",
                         help="paper-scale (8320 routers, four configs)")
-    fig15b.add_argument("--n", type=int, default=300)
-    fig15b.add_argument("--m", type=int, default=100)
+    fig15b.add_argument("--n", type=_positive, default=300)
+    fig15b.add_argument("--m", type=_positive, default=100)
     fig15b.add_argument("--digits", type=int, default=8)
     fig15b.add_argument("--seed", type=int, default=0)
     _add_backend_args(fig15b)
@@ -654,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     join = sub.add_parser("join", help="concurrent-join experiment")
     join.add_argument("--base", type=int, default=16)
     join.add_argument("--digits", type=int, default=8)
-    join.add_argument("--n", type=int, default=300)
-    join.add_argument("--m", type=int, default=100)
+    join.add_argument("--n", type=_positive, default=300)
+    join.add_argument("--m", type=_positive, default=100)
     join.add_argument("--seed", type=int, default=0)
     join.add_argument(
         "--trace", metavar="PATH",
@@ -699,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
              "quiesced within this much real time",
     )
     join.add_argument(
-        "--seeds", type=int, default=1,
+        "--seeds", type=_positive, default=1,
         help="run this many seeds (starting at --seed) and aggregate",
     )
     _add_backend_args(join)
@@ -719,12 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="multi-seed Figure 15(b) sweep with aggregates"
     )
-    sweep.add_argument("--n", type=int, default=300)
-    sweep.add_argument("--m", type=int, default=100)
+    sweep.add_argument("--n", type=_positive, default=300)
+    sweep.add_argument("--m", type=_positive, default=100)
     sweep.add_argument("--digits", type=int, default=8)
     sweep.add_argument("--seed", type=int, default=0,
                        help="first seed of the sweep")
-    sweep.add_argument("--seeds", type=int, default=5,
+    sweep.add_argument("--seeds", type=_positive, default=5,
                        help="number of seeds")
     sweep.add_argument("--out", default=None, metavar="OUT.json",
                        help="archive the per-seed results as JSON "
@@ -733,12 +742,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     churn = sub.add_parser("churn", help="full membership lifecycle")
-    churn.add_argument("--n", type=int, default=150)
-    churn.add_argument("--m", type=int, default=50)
+    churn.add_argument("--n", type=_positive, default=150)
+    churn.add_argument("--m", type=_positive, default=50)
     churn.add_argument("--leaves", type=int, default=30)
     churn.add_argument("--failures", type=int, default=20)
     churn.add_argument("--seed", type=int, default=0)
-    churn.add_argument("--seeds", type=int, default=1,
+    churn.add_argument("--seeds", type=_positive, default=1,
                        help="run this many seeds (starting at --seed) "
                             "and aggregate")
     _add_backend_args(churn)

@@ -42,7 +42,7 @@ from repro.exec.backend import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.pool import ProcessPoolBackend, WorkerCrashError
-    from repro.exec.registry import remote_task, resolve_task, task_name
+    from repro.exec.registry import resolve_task, task_name
     from repro.exec.remote import (
         RemoteBackend,
         RemoteBackendError,
@@ -59,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _LAZY = {
     "ProcessPoolBackend": "repro.exec.pool",
     "WorkerCrashError": "repro.exec.pool",
-    "remote_task": "repro.exec.registry",
     "resolve_task": "repro.exec.registry",
     "task_name": "repro.exec.registry",
     "TaskNotRegisteredError": "repro.exec.registry",
@@ -93,7 +92,6 @@ __all__ = [
     "default_chunksize",
     "discover_workers",
     "encode_task_value",
-    "remote_task",
     "resolve_jobs",
     "resolve_task",
     "run_worker_daemon",

@@ -1,118 +1,64 @@
-"""Named task functions for the distributed sweep tier.
+"""Wire names for task functions in the distributed sweep tier.
 
 A :class:`~repro.exec.remote.RemoteBackend` cannot pickle a function
 to a ``repro worker`` daemon the way a process pool can; it sends a
-*name* and the worker resolves it locally.  Two name forms exist:
+*name* and the worker resolves it locally.  The name is the function's
+dotted spec, ``"package.module:function"``: any importable top-level
+function, the same trust model as the process pool's
+pickle-by-reference.  Workers execute whatever the coordinator names,
+so -- exactly like a process pool or an SSH loop -- the sweep cluster
+must only span machines you already control.
 
-* **Registered names** ("fig15b", "join", "churn", ...): experiment
-  modules decorate their task functions with :func:`remote_task`, and
-  :func:`resolve_task` imports :data:`TASK_MODULES` (idempotently) so
-  a bare worker knows every curated campaign.
-* **Dotted specs** (``"package.module:function"``): any importable
-  top-level function, the same trust model as the process pool's
-  pickle-by-reference.  Workers execute whatever the coordinator
-  names, so -- exactly like a process pool or an SSH loop -- the sweep
-  cluster must only span machines you already control.
-
-:func:`task_name` is the coordinator-side inverse: registered
-functions map to their curated name, any other module-level function
-to its dotted spec, and unresolvable callables (lambdas, closures,
-instance methods) raise :class:`TaskNotRegisteredError` -- the same
-functions pickle would reject for the pool backend.
+:func:`task_name` is the coordinator side and :func:`resolve_task`
+the worker side.  Unresolvable callables (lambdas, closures, instance
+methods) raise :class:`TaskNotRegisteredError` -- the same functions
+pickle would reject for the pool backend.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict
-
-#: Modules whose :func:`remote_task` registrations define the curated
-#: campaign names (imported by :func:`resolve_task` on first lookup).
-TASK_MODULES = (
-    "repro.experiments.parallel",
-    "repro.experiments.fig15a",
-    "repro.experiments.fig15b",
-    "repro.experiments.churn",
-)
-
-_TASKS: Dict[str, Callable] = {}
+from typing import Callable
 
 
 class TaskNotRegisteredError(LookupError):
     """A task function/name the registry cannot map for the wire."""
 
 
-def remote_task(name: str) -> Callable[[Callable], Callable]:
-    """Decorator factory: register ``fn`` under the curated ``name``
-    so remote workers can resolve it without a dotted spec."""
-
-    def register(fn: Callable) -> Callable:
-        existing = _TASKS.get(name)
-        if existing is not None and existing is not fn:
-            raise ValueError(f"task name {name!r} already registered")
-        _TASKS[name] = fn
-        fn.__task_name__ = name
-        return fn
-
-    return register
-
-
-def _load_task_modules() -> None:
-    for module in TASK_MODULES:
-        importlib.import_module(module)
-
-
 def task_name(fn: Callable) -> str:
-    """The wire name for ``fn``: its curated registration if it has
-    one, else its ``module:qualname`` dotted spec."""
-    name = getattr(fn, "__task_name__", None)
-    if name is not None:
-        return name
+    """The wire name for ``fn``: its ``module:qualname`` dotted spec."""
     qualname = getattr(fn, "__qualname__", "")
     module = getattr(fn, "__module__", None)
     if module and qualname and "." not in qualname:
         return f"{module}:{qualname}"
     raise TaskNotRegisteredError(
-        f"cannot name task function {fn!r} for the wire: register it "
-        f"with @remote_task or use a module-level function"
+        f"cannot name task function {fn!r} for the wire: use a "
+        f"module-level function"
     )
 
 
 def resolve_task(name: str) -> Callable:
     """The task function behind a wire name (worker side)."""
-    _load_task_modules()
-    if name in _TASKS:
-        return _TASKS[name]
-    if ":" in name:
-        module_name, _, attr = name.partition(":")
-        try:
-            fn = getattr(importlib.import_module(module_name), attr)
-        except (ImportError, AttributeError) as exc:
-            raise TaskNotRegisteredError(
-                f"cannot resolve task spec {name!r}: {exc}"
-            ) from None
-        if not callable(fn):
-            raise TaskNotRegisteredError(
-                f"task spec {name!r} does not name a callable"
-            )
-        return fn
-    raise TaskNotRegisteredError(
-        f"unknown task name {name!r} (registered: "
-        f"{sorted(_TASKS) or 'none'})"
-    )
-
-
-def registered_tasks() -> Dict[str, Callable]:
-    """A snapshot of the curated name -> function registry."""
-    _load_task_modules()
-    return dict(_TASKS)
+    if ":" not in name:
+        raise TaskNotRegisteredError(
+            f"unknown task name {name!r} (expected 'module:function')"
+        )
+    module_name, _, attr = name.partition(":")
+    try:
+        fn = getattr(importlib.import_module(module_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise TaskNotRegisteredError(
+            f"cannot resolve task spec {name!r}: {exc}"
+        ) from None
+    if not callable(fn):
+        raise TaskNotRegisteredError(
+            f"task spec {name!r} does not name a callable"
+        )
+    return fn
 
 
 __all__ = [
-    "TASK_MODULES",
     "TaskNotRegisteredError",
-    "registered_tasks",
-    "remote_task",
     "resolve_task",
     "task_name",
 ]

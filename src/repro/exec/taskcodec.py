@@ -32,9 +32,6 @@ class TaskCodecError(CodecError):
 
 #: Dataclasses allowed on the sweep wire: name -> defining module.
 TASK_DATACLASSES: Dict[str, str] = {
-    "Fig15aConfig": "repro.experiments.fig15a",
-    "Fig15bConfig": "repro.experiments.fig15b",
-    "Fig15bResult": "repro.experiments.fig15b",
     "JoinTaskConfig": "repro.experiments.parallel",
     "JoinTaskResult": "repro.experiments.parallel",
     "ChurnConfig": "repro.experiments.churn",

@@ -5,20 +5,16 @@
 * :mod:`~repro.experiments.fig1` -- the Figure 1 example neighbor table.
 * :mod:`~repro.experiments.fig2` -- the Figure 2 C-set tree example.
 * :mod:`~repro.experiments.fig15a` -- Theorem 5 upper-bound curves.
-* :mod:`~repro.experiments.fig15b` -- the concurrent-join simulation
-  (CDF of JoinNotiMsg per joiner) on a transit-stub topology.
-* :mod:`~repro.experiments.parallel` -- the concurrent-join campaign
-  task; campaigns run on any :mod:`repro.exec` backend.
+* :mod:`~repro.experiments.fig15b` -- the paper's Figure 15(b)
+  configurations (CDF of JoinNotiMsg per joiner on a transit-stub
+  topology).
+* :mod:`~repro.experiments.parallel` -- the concurrent-join task that
+  runs them; campaigns map it on any :mod:`repro.exec` backend.
 """
 
 from repro.experiments.fig1 import figure1_example
 from repro.experiments.fig2 import figure2_example
 from repro.experiments.fig15a import figure15a_series, FIG15A_CONFIGS
-from repro.experiments.fig15b import (
-    Fig15bConfig,
-    Fig15bResult,
-    run_fig15b,
-)
 from repro.experiments.harness import (
     Cdf,
     join_phase_durations,
@@ -31,7 +27,6 @@ from repro.experiments.parallel import (
     JoinTaskResult,
     run_join_task,
 )
-from repro.experiments.sweep import sweep_fig15b
 
 __all__ = [
     "Cdf",
@@ -39,14 +34,10 @@ __all__ = [
     "render_metrics_table",
     "render_phase_table",
     "FIG15A_CONFIGS",
-    "Fig15bConfig",
-    "Fig15bResult",
     "JoinTaskConfig",
     "JoinTaskResult",
     "figure15a_series",
     "figure1_example",
     "figure2_example",
-    "run_fig15b",
     "run_join_task",
-    "sweep_fig15b",
 ]

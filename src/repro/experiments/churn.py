@@ -8,19 +8,17 @@ churn``, the churn example, and the lifecycle tests.
 
 Like every campaign task, :func:`run_churn` is self-seeding (all
 randomness derives from :class:`ChurnConfig`), so a multi-seed churn
-campaign, ``backend.map(run_churn, churn_seeds(config, seeds))``, runs
-on any execution backend -- serial, process pool, or a remote worker
-fleet -- with identical results.  It is registered on the wire as
-``"churn"``.
+campaign, ``backend.map(run_churn, seeded_configs(config, seeds))``,
+runs on any execution backend -- serial, process pool, or a remote
+worker fleet -- with identical results.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional
 
-from repro.exec.registry import remote_task
 from repro.experiments.workloads import SMALL_TOPOLOGY, make_workload
 from repro.optimize import measure_stretch, optimize_tables
 from repro.protocol.leave import leave_sequentially
@@ -69,7 +67,6 @@ class ChurnResult:
         return all(phase.consistent for phase in self.phases)
 
 
-@remote_task("churn")
 def run_churn(config: ChurnConfig) -> ChurnResult:
     """Run the full lifecycle and return per-phase outcomes."""
     rng = random.Random(config.seed)
@@ -128,9 +125,3 @@ def run_churn(config: ChurnConfig) -> ChurnResult:
         )
     return result
 
-
-def churn_seeds(
-    config: ChurnConfig, seeds: Sequence[int]
-) -> List[ChurnConfig]:
-    """Per-seed copies of ``config`` (a churn campaign's task list)."""
-    return [replace(config, seed=seed) for seed in seeds]

@@ -8,11 +8,9 @@ The paper plots the Theorem 5 upper bound for ``n`` from 10,000 to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.expected_cost import expected_join_noti_upper_bound
-from repro.exec import ExecutionBackend, InlineBackend
-from repro.exec.registry import remote_task
 
 
 @dataclass(frozen=True)
@@ -56,29 +54,6 @@ def figure15a_series(
     ]
 
 
-@remote_task("fig15a-series")
-def _series_task(
-    task: Tuple[Fig15aConfig, Tuple[int, ...]]
-) -> List[Tuple[int, float]]:
-    """Picklable, wire-codable per-curve task for the execution
-    engine."""
-    config, n_values = task
-    return figure15a_series(config, n_values)
-
-
-def figure15a_all_series(
-    configs: Sequence[Fig15aConfig] = FIG15A_CONFIGS,
-    n_values: Sequence[int] = FIG15A_N_VALUES,
-    backend: Optional[ExecutionBackend] = None,
-) -> List[List[Tuple[int, float]]]:
-    """All curves, one per config, on ``backend`` (default inline; the
-    closed-form bound is cheap at the paper's scale but grows with
-    ``n`` sweeps; the engine keeps curve order regardless)."""
-    return (backend or InlineBackend()).map(
-        _series_task, [(config, tuple(n_values)) for config in configs]
-    )
-
-
 def render_figure15a(
     configs: Sequence[Fig15aConfig] = FIG15A_CONFIGS,
     n_values: Sequence[int] = FIG15A_N_VALUES,
@@ -86,10 +61,7 @@ def render_figure15a(
     """Text table with one column per curve (the figure's four lines)."""
     header = "       n  " + "  ".join(f"{c.label:>18}" for c in configs)
     lines = [header]
-    series = [
-        dict(curve)
-        for curve in figure15a_all_series(configs, n_values)
-    ]
+    series = [dict(figure15a_series(c, n_values)) for c in configs]
     for n in n_values:
         row = f"{n:>8}  " + "  ".join(
             f"{s[n]:>18.3f}" for s in series

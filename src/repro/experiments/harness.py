@@ -1,6 +1,6 @@
-"""Shared experiment utilities: CDFs, summary statistics, and
-rendering helpers for observability output (metrics tables, per-phase
-join latency breakdowns)."""
+"""Shared experiment utilities: CDFs, summary statistics,
+joining-period statistics, and rendering helpers for observability
+output (metrics tables, per-phase join latency breakdowns)."""
 
 from __future__ import annotations
 
@@ -97,6 +97,20 @@ def summarize(samples: Sequence[float]) -> Summary:
         maximum=max(samples),
         stddev=math.sqrt(variance),
     )
+
+
+def joining_period_stats(network) -> Summary:
+    """Lengths of the joining periods ``t^e − t^b`` (Definition 3.1)
+    of every joiner in ``network`` -- not shown in the paper's
+    evaluation, but they characterize how long a node stays a T-node
+    under concurrent load."""
+    durations = []
+    for joiner in network.joiner_ids:
+        node = network.node(joiner)
+        if node.join_began_at is None or node.became_s_at is None:
+            raise ValueError(f"{joiner} has not completed its join")
+        durations.append(node.became_s_at - node.join_began_at)
+    return summarize(durations)
 
 
 def render_cdf_table(

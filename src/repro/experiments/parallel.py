@@ -1,5 +1,6 @@
-"""The concurrent-join campaign task (CLI ``repro join --seeds``, the
-join-cost benches, the ``campaign`` benchmark).
+"""The concurrent-join task: Figure 15(b)'s simulation, and every
+campaign over it (CLI ``repro fig15b``, ``sweep`` and ``join
+--seeds``, the join-cost benches, the ``campaign`` benchmark).
 
 A campaign is ``backend.map(run_join_task, seeded_configs(config,
 seeds))`` on any :class:`repro.exec.ExecutionBackend`.  The task is
@@ -7,16 +8,20 @@ self-seeding -- every RNG it uses derives from its config -- so the
 results are independent of scheduling order, worker count and backend,
 and :meth:`~repro.exec.ExecutionBackend.map` merges them in task order.
 The config and result types are named on the wire by
-:mod:`repro.exec.taskcodec`, and the task function is registered there
-as ``"join"``.
+:mod:`repro.exec.taskcodec`; remote workers resolve the task function
+by its dotted name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.exec.registry import remote_task
+from repro.analysis.expected_cost import (
+    expected_join_noti_upper_bound,
+    theorem3_bound,
+)
+from repro.experiments.harness import Cdf
 from repro.experiments.workloads import make_workload
 from repro.protocol.sizing import SizingPolicy
 from repro.topology.transit_stub import TransitStubParams
@@ -31,9 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JoinTaskConfig:
-    """One self-seeding concurrent-join simulation (CLI ``repro join``,
-    the join-cost benches): ``n`` initial nodes, ``m`` simultaneous
-    joiners, IDs from a ``(base, num_digits)`` space."""
+    """One self-seeding concurrent-join simulation: ``n`` initial
+    nodes, ``m`` simultaneous joiners, IDs from a ``(base,
+    num_digits)`` space.
+
+    Figure 15(b)'s configurations set ``use_topology=True``: ``None``
+    ``topology_params`` then selects the scaled-down
+    :data:`repro.experiments.workloads.SMALL_TOPOLOGY`, and the paper
+    configs pass ``TransitStubParams()`` (8320 routers).
+    """
 
     base: int = 16
     num_digits: int = 8
@@ -44,32 +55,60 @@ class JoinTaskConfig:
     topology_params: Optional[TransitStubParams] = None
     sizing: SizingPolicy = SizingPolicy.FULL
 
+    @property
+    def label(self) -> str:
+        return (
+            f"n={self.n}, m={self.m}, b={self.base}, d={self.num_digits}"
+        )
+
+    @property
+    def theorem5_bound(self) -> float:
+        """Theorem 5's upper bound on the mean JoinNotiMsg per joiner."""
+        return expected_join_noti_upper_bound(
+            self.n, self.m, self.base, self.num_digits
+        )
+
 
 @dataclass(frozen=True)
 class JoinTaskResult:
-    """Aggregate outcome of one :class:`JoinTaskConfig` run.
+    """Outcome of one :class:`JoinTaskConfig` run.
 
-    Carries everything the CLI and benches report; comparable with
-    ``==`` so serial/parallel/remote equivalence can be asserted
-    directly.
+    Carries everything the CLI, the sweep archive and the benches
+    report; comparable with ``==`` so serial/parallel/remote
+    equivalence can be asserted directly.
     """
 
     seed: int
     consistent: bool
     all_in_system: bool
     members: int
-    mean_join_noti: float
+    #: JoinNotiMsg sent by each joiner (Figure 15(b)'s samples).
+    join_noti_counts: Tuple[int, ...]
     max_theorem3: int
+    #: Nodes whose CpRstMsg + JoinWaitMsg count exceeds ``d + 1``.
+    theorem3_violations: int
     total_messages: int
     total_bytes: int
     message_counts: Tuple[Tuple[str, int], ...] = field(default=())
+
+    @property
+    def mean_join_noti(self) -> float:
+        counts = self.join_noti_counts
+        return sum(counts) / len(counts) if counts else 0.0
+
+    @property
+    def max_join_noti(self) -> int:
+        return max(self.join_noti_counts)
+
+    @property
+    def cdf(self) -> Cdf:
+        return Cdf(self.join_noti_counts)
 
     def counts_dict(self) -> Dict[str, int]:
         """Per-type message counts as a plain dict."""
         return dict(self.message_counts)
 
 
-@remote_task("join")
 def run_join_task(config: JoinTaskConfig) -> JoinTaskResult:
     """Run one concurrent-join experiment to quiescence (picklable,
     wire-codable top-level task function for ``backend.map``)."""
@@ -87,22 +126,26 @@ def run_join_task(config: JoinTaskConfig) -> JoinTaskResult:
     workload.run()
     net = workload.network
     report = net.check_consistency()
-    counts = net.join_noti_counts()
+    theorem3 = net.theorem3_counts()
+    bound = theorem3_bound(config.num_digits)
     return JoinTaskResult(
         seed=config.seed,
         consistent=report.consistent,
         all_in_system=net.all_in_system(),
         members=len(net.member_ids()),
-        mean_join_noti=sum(counts) / len(counts) if counts else 0.0,
-        max_theorem3=max(net.theorem3_counts()),
+        join_noti_counts=tuple(net.join_noti_counts()),
+        max_theorem3=max(theorem3),
+        theorem3_violations=sum(1 for c in theorem3 if c > bound),
         total_messages=net.stats.total_messages,
         total_bytes=net.stats.total_bytes,
         message_counts=tuple(sorted(net.stats.snapshot().items())),
     )
 
 
-def seeded_configs(
-    config: JoinTaskConfig, seeds: Sequence[int]
-) -> List[JoinTaskConfig]:
-    """Copies of ``config`` differing only in seed (a seed sweep)."""
+Config = TypeVar("Config")
+
+
+def seeded_configs(config: Config, seeds: Sequence[int]) -> List[Config]:
+    """Copies of the dataclass ``config`` differing only in seed (a
+    seed sweep's task list)."""
     return [replace(config, seed=seed) for seed in seeds]

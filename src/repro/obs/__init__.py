@@ -47,114 +47,82 @@ Typical use::
     ...
     write_trace_jsonl(obs.tracer, "run.jsonl")
     print(obs.metrics.snapshot())
+
+The re-exports resolve lazily (PEP 562): importing the recording tier
+(:mod:`~repro.obs.instrument`, which the protocol core uses) never
+loads the analysis tier or the distributed-telemetry module.
 """
 
-from repro.obs.audit import (
-    AuditConfig,
-    AuditIncident,
-    AuditReport,
-    AuditSample,
-    LiveAuditor,
-)
-from repro.obs.causality import CausalForest, CausalityError, MessageRecord
-from repro.obs.export import (
-    message_type_breakdown,
-    message_type_csv,
-    metrics_to_csv,
-    metrics_to_dict,
-    read_message_type_csv,
-    read_trace_jsonl,
-    trace_to_records,
-    write_message_type_csv,
-    write_metrics_csv,
-    write_trace_jsonl,
-    write_trace_records,
-)
-from repro.obs.lifecycle import (
-    JOIN_PHASE_ORDER,
-    JoinLifecycle,
-    LifecycleReport,
-    PhaseInterval,
-    lifecycles_from_tracer,
-    reconstruct_lifecycles,
-)
-from repro.obs.instrument import (
-    JoinObserver,
-    Observability,
-    SchedulerProbe,
-    collect_table_metrics,
-    instrument_scheduler,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-)
-from repro.obs.remote import (
-    ClockSample,
-    ClockSync,
-    ClockSyncError,
-    DaemonTrace,
-    RemoteTelemetry,
-    merge_traces,
-)
-from repro.obs.report import RunReport
-from repro.obs.tracer import (
-    NullTracer,
-    Span,
-    TraceEvent,
-    Tracer,
-    TracerError,
-)
+from typing import List
 
-__all__ = [
-    "AuditConfig",
-    "AuditIncident",
-    "AuditReport",
-    "AuditSample",
-    "CausalForest",
-    "CausalityError",
-    "ClockSample",
-    "ClockSync",
-    "ClockSyncError",
-    "Counter",
-    "DaemonTrace",
-    "Gauge",
-    "Histogram",
-    "JOIN_PHASE_ORDER",
-    "JoinLifecycle",
-    "JoinObserver",
-    "LifecycleReport",
-    "LiveAuditor",
-    "MessageRecord",
-    "MetricsError",
-    "MetricsRegistry",
-    "NullTracer",
-    "Observability",
-    "PhaseInterval",
-    "RemoteTelemetry",
-    "RunReport",
-    "SchedulerProbe",
-    "Span",
-    "TraceEvent",
-    "Tracer",
-    "TracerError",
-    "collect_table_metrics",
-    "instrument_scheduler",
-    "lifecycles_from_tracer",
-    "merge_traces",
-    "message_type_breakdown",
-    "message_type_csv",
-    "metrics_to_csv",
-    "metrics_to_dict",
-    "read_message_type_csv",
-    "read_trace_jsonl",
-    "reconstruct_lifecycles",
-    "trace_to_records",
-    "write_message_type_csv",
-    "write_metrics_csv",
-    "write_trace_jsonl",
-    "write_trace_records",
-]
+# name -> module that defines it; resolved on first attribute access.
+_EXPORTS = {
+    "AuditConfig": "repro.obs.audit",
+    "AuditIncident": "repro.obs.audit",
+    "AuditReport": "repro.obs.audit",
+    "AuditSample": "repro.obs.audit",
+    "LiveAuditor": "repro.obs.audit",
+    "CausalForest": "repro.obs.causality",
+    "CausalityError": "repro.obs.causality",
+    "MessageRecord": "repro.obs.causality",
+    "message_type_breakdown": "repro.obs.export",
+    "message_type_csv": "repro.obs.export",
+    "metrics_to_csv": "repro.obs.export",
+    "metrics_to_dict": "repro.obs.export",
+    "read_message_type_csv": "repro.obs.export",
+    "read_trace_jsonl": "repro.obs.export",
+    "trace_to_records": "repro.obs.export",
+    "write_message_type_csv": "repro.obs.export",
+    "write_metrics_csv": "repro.obs.export",
+    "write_trace_jsonl": "repro.obs.export",
+    "write_trace_records": "repro.obs.export",
+    "JoinObserver": "repro.obs.instrument",
+    "Observability": "repro.obs.instrument",
+    "SchedulerProbe": "repro.obs.instrument",
+    "collect_table_metrics": "repro.obs.instrument",
+    "instrument_scheduler": "repro.obs.instrument",
+    "JOIN_PHASE_ORDER": "repro.obs.lifecycle",
+    "JoinLifecycle": "repro.obs.lifecycle",
+    "LifecycleReport": "repro.obs.lifecycle",
+    "PhaseInterval": "repro.obs.lifecycle",
+    "lifecycles_from_tracer": "repro.obs.lifecycle",
+    "reconstruct_lifecycles": "repro.obs.lifecycle",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsError": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "ClockSample": "repro.obs.remote",
+    "ClockSync": "repro.obs.remote",
+    "ClockSyncError": "repro.obs.remote",
+    "DaemonTrace": "repro.obs.remote",
+    "RemoteTelemetry": "repro.obs.remote",
+    "merge_traces": "repro.obs.remote",
+    "RunReport": "repro.obs.report",
+    "NullTracer": "repro.obs.tracer",
+    "Span": "repro.obs.tracer",
+    "TraceEvent": "repro.obs.tracer",
+    "Tracer": "repro.obs.tracer",
+    "TracerError": "repro.obs.tracer",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Resolve a re-exported name on first use (PEP 562)."""
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

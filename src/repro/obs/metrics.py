@@ -15,6 +15,7 @@ steady-state cost is one attribute increment -- no registry lookups.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -127,7 +128,7 @@ class Histogram:
         if not 0 <= q <= 1:
             raise ValueError("q must be in [0, 1]")
         ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
+        index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
         return ordered[index]
 
     def snapshot_items(self) -> List[Tuple[str, float]]:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.registry import task_name
 from repro.exec.remote import (
     RemoteBackend,
     RemoteBackendError,
@@ -26,6 +27,11 @@ from repro.exec.remote import (
 )
 from repro.exec.taskcodec import decode_task_value, encode_task_value
 from repro.exec.worker import WorkerDaemon
+from repro.experiments.parallel import (
+    JoinTaskConfig,
+    run_join_task,
+    seeded_configs,
+)
 from repro.net.control import ControlClient
 from repro.net.wire import ctl_frame, encode_frame
 from tests.exec.task_fns import (
@@ -89,14 +95,10 @@ class TestWorkerDaemon:
     def teardown_method(self):
         self.daemon.close()
 
-    def submit(self, tid, value):
+    def submit(self, tid, value, fn="tests.exec.task_fns:double"):
         return self.daemon.handle(
             "submit",
-            {
-                "tid": tid,
-                "fn": "tests.exec.task_fns:double",
-                "task": encode_task_value(value),
-            },
+            {"tid": tid, "fn": fn, "task": encode_task_value(value)},
             ("c", 1),
         )
 
@@ -127,15 +129,7 @@ class TestWorkerDaemon:
         assert self.daemon.tasks_done == 1
 
     def test_second_task_while_busy_is_refused(self):
-        self.daemon.handle(
-            "submit",
-            {
-                "tid": "slow",
-                "fn": "tests.exec.task_fns:sleepy_double",
-                "task": encode_task_value(1),
-            },
-            ("c", 1),
-        )
+        self.submit("slow", 1, fn="tests.exec.task_fns:sleepy_double")
         assert self.submit("other", 2) == {"busy": True}
         self.poll_until_done("slow")
 
@@ -145,15 +139,7 @@ class TestWorkerDaemon:
         }
 
     def test_task_error_is_reported_not_fatal(self):
-        self.daemon.handle(
-            "submit",
-            {
-                "tid": "bad",
-                "fn": "tests.exec.task_fns:boom",
-                "task": encode_task_value(3),
-            },
-            ("c", 1),
-        )
+        self.submit("bad", 3, fn="tests.exec.task_fns:boom")
         reply = self.poll_until_done("bad")
         assert reply["state"] == "error"
         assert "ValueError" in reply["error"]
@@ -161,6 +147,14 @@ class TestWorkerDaemon:
         # The worker survives and takes the next task.
         assert self.submit("good", 4)["accepted"]
         assert decode_task_value(self.poll_until_done("good")["result"]) == 8
+
+    def test_a_bare_task_name_is_a_task_error(self):
+        """Tasks are named only by ``module:function``; the old curated
+        names ("join", "churn", "fig15b") resolve to nothing."""
+        assert self.submit("bare", 1, fn="join")["accepted"]
+        reply = self.poll_until_done("bare")
+        assert reply["state"] == "error"
+        assert "TaskNotRegisteredError" in reply["error"]
 
     def test_status_row_shape(self):
         status = self.daemon.handle("status", {}, ("c", 1))
@@ -179,15 +173,7 @@ class TestWorkerDaemon:
         assert pushed == []
 
     def test_oversized_result_is_a_task_error_not_a_crash(self):
-        self.daemon.handle(
-            "submit",
-            {
-                "tid": "big",
-                "fn": "tests.exec.task_fns:big_string",
-                "task": encode_task_value(70_000),
-            },
-            ("c", 1),
-        )
+        self.submit("big", 70_000, fn="tests.exec.task_fns:big_string")
         reply = self.poll_until_done("big")
         assert reply["state"] == "error"
         assert reply["error"].startswith("OversizedMessageError")
@@ -208,6 +194,21 @@ class TestRemoteBackendInProcess:
         tasks = list(range(7))
         with RemoteBackend(workers=addrs, poll_interval=0.02) as backend:
             assert backend.map(double, tasks) == [2 * t for t in tasks]
+
+    def test_join_task_travels_by_its_dotted_name(self, fleet):
+        """The concurrent-join task reaches workers as
+        ``repro.experiments.parallel:run_join_task`` and its results
+        equal the inline run's."""
+        configs = seeded_configs(
+            JoinTaskConfig(base=4, num_digits=4, n=20, m=5), [0, 1]
+        )
+        assert task_name(run_join_task) == (
+            "repro.experiments.parallel:run_join_task"
+        )
+        with RemoteBackend(workers=fleet(count=2), poll_interval=0.02) as b:
+            assert b.map(run_join_task, configs) == [
+                run_join_task(c) for c in configs
+            ]
 
     def test_task_error_raises_remote_task_error(self, fleet):
         addrs = fleet(count=1)

@@ -10,7 +10,7 @@ from repro.exec.taskcodec import (
     encode_task_value,
 )
 from repro.experiments.churn import ChurnConfig
-from repro.experiments.fig15b import Fig15bConfig
+from repro.experiments.fig15b import PAPER_CONFIGS
 from repro.experiments.parallel import JoinTaskConfig, JoinTaskResult
 from repro.ids.idspace import IdSpace
 from repro.protocol.sizing import SizingPolicy
@@ -88,19 +88,21 @@ class TestDataclasses:
             consistent=True,
             all_in_system=True,
             members=30,
-            mean_join_noti=2.5,
+            join_noti_counts=(0, 3, 7),
             max_theorem3=4,
+            theorem3_violations=0,
             total_messages=812,
             total_bytes=40960,
             message_counts=(("CpRstMsg", 5), ("JoinNotiMsg", 12)),
         )
         decoded = roundtrip(result)
         assert decoded == result
+        assert decoded.mean_join_noti == 10 / 3
         assert decoded.counts_dict() == {"CpRstMsg": 5, "JoinNotiMsg": 12}
 
     def test_fig15b_and_churn_configs(self):
         for config in (
-            Fig15bConfig(n=60, m=20, seed=4),
+            PAPER_CONFIGS[0],
             ChurnConfig(n=40, m=10, leaves=5, failures=3, seed=2),
         ):
             decoded = roundtrip(config)

@@ -1,12 +1,7 @@
 """Figure 15(b) reproduction tests (scaled-down configurations)."""
 
-import pytest
-
-from repro.experiments.fig15b import (
-    Fig15bConfig,
-    PAPER_CONFIGS,
-    run_fig15b,
-)
+from repro.experiments.fig15b import PAPER_CONFIGS
+from repro.experiments.parallel import JoinTaskConfig, run_join_task
 from repro.experiments.workloads import SMALL_TOPOLOGY
 
 
@@ -21,47 +16,42 @@ def scaled_config(**overrides):
         topology_params=SMALL_TOPOLOGY,
     )
     defaults.update(overrides)
-    return Fig15bConfig(**defaults)
+    return JoinTaskConfig(**defaults)
 
 
 class TestFig15bScaled:
     def test_run_produces_correct_network(self):
-        result = run_fig15b(scaled_config())
+        result = run_join_task(scaled_config())
         assert result.consistent
         assert result.all_in_system
         assert result.theorem3_violations == 0
         assert len(result.join_noti_counts) == 60
 
     def test_mean_below_theorem5_bound(self):
-        result = run_fig15b(scaled_config(seed=1))
-        assert result.mean_join_noti < result.theorem5_bound
+        config = scaled_config(seed=1)
+        result = run_join_task(config)
+        assert result.mean_join_noti < config.theorem5_bound
 
     def test_cdf_shape_majority_send_few(self):
         """Figure 15(b)'s qualitative shape: the majority of joiners
         send a small number of JoinNotiMsg."""
-        result = run_fig15b(scaled_config(seed=2))
+        result = run_join_task(scaled_config(seed=2))
         cdf = result.cdf
         assert cdf.at(10) >= 0.5
         assert cdf.at(result.cdf.max) == 1.0
 
     def test_uniform_latency_variant(self):
-        result = run_fig15b(
+        result = run_join_task(
             scaled_config(seed=3, use_topology=False)
         )
         assert result.consistent
         assert result.all_in_system
 
     def test_d40_variant(self):
-        result = run_fig15b(scaled_config(seed=4, num_digits=40, n=120, m=40))
+        result = run_join_task(scaled_config(seed=4, num_digits=40, n=120, m=40))
         assert result.consistent
         assert result.all_in_system
         assert result.theorem3_violations == 0
-
-    def test_summary_text(self):
-        result = run_fig15b(scaled_config(seed=5, n=80, m=20))
-        text = result.summary()
-        assert "mean JoinNotiMsg" in text
-        assert "Theorem 5 bound" in text
 
     def test_paper_configs_defined(self):
         assert len(PAPER_CONFIGS) == 4

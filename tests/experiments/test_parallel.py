@@ -17,14 +17,11 @@ from repro.exec import (
     default_chunksize,
     resolve_jobs,
 )
-from repro.experiments.fig15b import Fig15bConfig
 from repro.experiments.parallel import (
     JoinTaskConfig,
     run_join_task,
     seeded_configs,
 )
-from repro.experiments.sweep import sweep_fig15b
-from repro.experiments.workloads import SMALL_TOPOLOGY
 
 
 def _square(x):
@@ -125,31 +122,14 @@ class TestJoinTasks:
 
 class TestSweepJobsEquivalence:
     def test_sweep_identical_across_jobs(self):
-        """An inline sweep and one on a 4-worker pool agree per seed
-        and in aggregate."""
-        config = Fig15bConfig(
-            n=60,
-            m=20,
-            base=16,
-            num_digits=8,
-            use_topology=True,
-            topology_params=SMALL_TOPOLOGY,
+        """An inline Figure 15(b) sweep and one on a 4-worker pool
+        agree per seed, down to every joiner's JoinNotiMsg count."""
+        configs = seeded_configs(
+            JoinTaskConfig(n=60, m=20, use_topology=True), [0, 1, 2, 3]
         )
-        seeds = [0, 1, 2, 3]
-        serial = sweep_fig15b(config, seeds)
+        serial = InlineBackend().map(run_join_task, configs)
         with ProcessPoolBackend(jobs=4) as pool:
-            parallel = sweep_fig15b(config, seeds, backend=pool)
-
-        for left, right in zip(serial.results, parallel.results):
-            assert left.config == right.config
-            assert left.join_noti_counts == right.join_noti_counts
-            assert left.message_counts == right.message_counts
-            assert left.total_messages == right.total_messages
-            assert left.consistent == right.consistent
-
-        assert (
-            serial.mean_join_noti.per_seed
-            == parallel.mean_join_noti.per_seed
-        )
-        assert serial.mean_join_noti.mean == parallel.mean_join_noti.mean
-        assert serial.all_consistent and parallel.all_consistent
+            parallel = pool.map(run_join_task, configs)
+        # Equality covers every field, join_noti_counts included.
+        assert serial == parallel
+        assert all(r.consistent for r in serial)

@@ -1,48 +1,38 @@
-"""Tests for the sweep driver and joining-period statistics."""
+"""Tests for multi-seed Figure 15(b) sweeps and joining-period
+statistics."""
 
 import pytest
 
-from repro.experiments.fig15b import Fig15bConfig
-from repro.experiments.sweep import (
-    SweepStats,
-    joining_period_stats,
-    sweep_fig15b,
+from repro.exec import InlineBackend
+from repro.experiments.harness import joining_period_stats, summarize
+from repro.experiments.parallel import (
+    JoinTaskConfig,
+    run_join_task,
+    seeded_configs,
 )
-from repro.experiments.workloads import SMALL_TOPOLOGY
 
 from tests.conftest import build_network, make_ids, run_joins
 
 
-class TestSweepStats:
-    def test_aggregates(self):
-        stats = SweepStats("x", [1.0, 2.0, 3.0])
-        assert stats.mean == 2.0
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-        assert stats.stddev == pytest.approx((2 / 3) ** 0.5)
-
-    def test_str(self):
-        assert "seeds" in str(SweepStats("x", [1.0]))
-
-
 class TestFig15bSweep:
     def test_three_seed_sweep(self):
-        config = Fig15bConfig(
+        config = JoinTaskConfig(
             n=80,
             m=25,
             base=16,
             num_digits=8,
             use_topology=True,
-            topology_params=SMALL_TOPOLOGY,
         )
-        sweep = sweep_fig15b(config, seeds=[0, 1, 2])
-        assert len(sweep.results) == 3
-        assert sweep.all_consistent
-        assert sweep.bound_never_exceeded
-        stats = sweep.mean_join_noti
+        results = InlineBackend().map(
+            run_join_task, seeded_configs(config, [0, 1, 2])
+        )
+        assert [r.seed for r in results] == [0, 1, 2]
+        assert all(r.consistent for r in results)
+        assert all(r.mean_join_noti < config.theorem5_bound for r in results)
+        stats = summarize([r.mean_join_noti for r in results])
         assert stats.minimum <= stats.mean <= stats.maximum
         # Different seeds produce different workloads.
-        assert len(set(stats.per_seed)) > 1
+        assert len({r.mean_join_noti for r in results}) > 1
 
 
 class TestJoiningPeriods:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.harness import Cdf
 from repro.obs.metrics import MetricsError, MetricsRegistry
 
 
@@ -51,6 +52,18 @@ class TestHistograms:
         assert hist.mean == 2.5
         assert hist.quantile(0.5) == 2.0
         assert hist.quantile(1.0) == 4.0
+
+    @pytest.mark.parametrize(
+        "q, expected", [(0.0, 1), (0.1, 1), (0.34, 4), (0.5, 5), (1.0, 10)]
+    )
+    def test_quantile_reaches_q(self, q, expected):
+        """The smallest sample whose cumulative fraction is >= ``q``
+        (over 1..10 at q=0.34: 4, since 3 only reaches 0.3), as
+        :meth:`Cdf.quantile` defines it."""
+        hist = MetricsRegistry().histogram("latency")
+        for v in range(1, 11):
+            hist.observe(float(v))
+        assert hist.quantile(q) == expected == Cdf(range(1, 11)).quantile(q)
 
     def test_empty_histogram(self):
         registry = MetricsRegistry()

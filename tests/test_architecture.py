@@ -389,3 +389,44 @@ class TestNoNumpy:
             check=True,
             env={"PYTHONPATH": str(SRC)},
         )
+
+
+class TestLazyObs:
+    def test_protocol_import_loads_only_the_recording_tier(self):
+        """``repro.obs`` re-exports resolve on first use: the protocol
+        core reaches ``repro.obs.instrument`` without loading the
+        analysis tier or the distributed-telemetry module."""
+        code = (
+            "import sys; import repro.protocol.join; "
+            "heavy = ('audit', 'causality', 'export', 'lifecycle', "
+            "'remote', 'report'); "
+            "bad = [m for m in heavy if 'repro.obs.' + m in sys.modules]; "
+            "assert not bad, bad"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
+
+
+class TestOneJoinTask:
+    """Figure 15(b), ``sweep`` and ``join --seeds`` all map
+    :func:`repro.experiments.parallel.run_join_task`, and remote workers
+    name tasks only by ``module:function``."""
+
+    GONE = (
+        "Fig15bConfig", "Fig15bResult", "run_fig15b", "Fig15bSweep",
+        "SweepStats", "sweep_fig15b", "sweep_configs", "churn_seeds",
+        "figure15a_all_series", "_series_task", "remote_task",
+        "TASK_MODULES", "registered_tasks",
+    )
+
+    def test_no_second_join_task_or_task_name_table(self):
+        pattern = re.compile(r"\b(" + "|".join(self.GONE) + r")\b")
+        offenders = [
+            f"{path.relative_to(SRC)}: {match}"
+            for path in sorted(SRC.rglob("*.py"))
+            for match in pattern.findall(path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, offenders

@@ -220,6 +220,25 @@ class TestExecCli:
         err = capsys.readouterr().err
         assert "--jobs" in err and "non-negative" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--seeds", "0"], "--seeds"),
+        (["join", "--m", "0"], "--m"),
+        (["join", "--m", "0", "--seeds", "2"], "--m"),
+        (["join", "--seeds", "0"], "--seeds"),
+        (["fig15b", "--m", "0"], "--m"),
+        (["fig15b", "--n", "-4"], "--n"),
+        (["churn", "--seeds", "0"], "--seeds"),
+        (["churn", "--n", "many"], "--n"),
+    ])
+    def test_bad_count_is_a_usage_error(self, argv, flag, capsys):
+        """Used to raise ZeroDivisionError / ValueError, or silently
+        run one seed."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "positive" in err
+
     def test_remote_backend_without_workers_is_refused(self, capsys):
         assert main(
             ["sweep", "--seeds", "2", "--n", "40", "--m", "10",
@@ -247,6 +266,21 @@ class TestExecCli:
         assert data["seeds"] == [0, 1]
         assert len(data["per_seed"]) == 2
         assert data["all_consistent"] is True
+
+    def test_sweep_report_is_pinned(self, capsys):
+        """The sweep's report, recorded when it still came from a
+        separate Figure 15(b) task and aggregate class."""
+        assert main(
+            ["sweep", "--seeds", "3", "--n", "40", "--m", "10",
+             "--digits", "4"]
+        ) == 0
+        assert capsys.readouterr().out == (
+            "== n=40, m=10, b=16, d=4; seeds [0, 1, 2] ==\n"
+            "mean JoinNotiMsg: 7.167 +/- 4.149 [1.300, 10.200] (3 seeds)\n"
+            "Theorem 5 bound    : 6.246\n"
+            "bound never exceeded: False\n"
+            "all consistent     : True\n"
+        )
 
     def test_churn_multi_seed(self, capsys):
         assert main(
