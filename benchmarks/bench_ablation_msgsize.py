@@ -17,9 +17,10 @@ def run_policy(sizing):
     net = fresh_network(space, initial, seed=9, sizing=sizing)
     run_concurrent(net, joiners)
     assert net.check_consistency().consistent
+    by_type = net.stats.registry.values_by_label("message_bytes", "type")
     return {
-        "noti_bytes": net.stats.bytes_by_type["JoinNotiMsg"],
-        "noti_rly_bytes": net.stats.bytes_by_type["JoinNotiRlyMsg"],
+        "noti_bytes": by_type["JoinNotiMsg"],
+        "noti_rly_bytes": by_type["JoinNotiRlyMsg"],
         "total_bytes": net.stats.total_bytes,
     }
 

@@ -10,7 +10,8 @@
 * :mod:`~repro.consistency.incremental` -- stateful dirty-set variant
   of the structural check for repeated mid-run audits: only nodes
   whose verdict could have changed since the last call are
-  re-verified.
+  re-verified; :class:`~repro.obs.audit.LiveAuditor` drives it
+  during a run.
 """
 
 from repro.consistency.checker import (

@@ -11,7 +11,6 @@ substrate:
   the join/leave/recovery state machine as a pure effect-emitting
   object, plus a zero-IO effect loop for driving machines in tests
   and proofs.
-* :mod:`repro.core.trace` -- the protocol trace log.
 
 It also re-exports the join protocol, the consistency notions it
 guarantees, the C-set tree machinery behind its proof, and the
@@ -77,9 +76,6 @@ _EXPORTS = {
     "TimerFired": "repro.core.effects",
     "JoinMachine": "repro.core.machine",
     "run_effect_loop": "repro.core.machine",
-    "NullTraceLog": "repro.core.trace",
-    "TraceLog": "repro.core.trace",
-    "TraceRecord": "repro.core.trace",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -36,7 +36,6 @@ from repro.core.effects import (
     Timer,
     TimerFired,
 )
-from repro.core.trace import TraceLog
 from repro.ids.digits import NodeId
 from repro.network.message import Message
 from repro.protocol.sizing import SizingPolicy
@@ -108,7 +107,6 @@ class JoinMachine:
         status: NodeStatus = NodeStatus.COPYING,
         table: Optional[NeighborTable] = None,
         sizing: SizingPolicy = SizingPolicy.FULL,
-        trace: Optional[TraceLog] = None,
         now: float = 0.0,
     ):
         from repro.protocol.node import ProtocolNode
@@ -124,7 +122,6 @@ class JoinMachine:
             status=status,
             table=table,
             sizing=sizing,
-            trace=trace,
         )
         self.node.on_phase = self._on_phase
         self.node.on_departed = self._on_departed

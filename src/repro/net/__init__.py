@@ -22,33 +22,3 @@ exchanging real datagrams:
   merges every daemon's causal trace into one analyzable stream.
 * :mod:`repro.net.top` -- ``repro top``, the live cluster status view.
 """
-
-from repro.net.cluster import ClusterConfig, ClusterError, run_cluster
-from repro.net.collect import CollectError, TelemetryCollector
-from repro.net.control import ControlClient, ControlError
-from repro.net.daemon import NodeDaemon, NodeDaemonConfig
-from repro.net.datagram import DatagramTransport
-from repro.net.faults import FaultInjector, FaultPlan
-from repro.net.rendezvous import RendezvousServer
-from repro.net.top import poll_cluster, run_top
-from repro.net.wire import parse_hostport, format_hostport
-
-__all__ = [
-    "ClusterConfig",
-    "ClusterError",
-    "CollectError",
-    "ControlClient",
-    "ControlError",
-    "DatagramTransport",
-    "FaultInjector",
-    "FaultPlan",
-    "NodeDaemon",
-    "NodeDaemonConfig",
-    "RendezvousServer",
-    "TelemetryCollector",
-    "format_hostport",
-    "parse_hostport",
-    "poll_cluster",
-    "run_cluster",
-    "run_top",
-]

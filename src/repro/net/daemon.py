@@ -444,10 +444,7 @@ class NodeDaemon:
             body["status"] = node.status.value
             body["s"] = bool(node.status.is_s_node)
             body["table_filled"] = node.table.filled_count()
-            body["theorem3"] = (
-                stats.sent_by(self.node_id, "CpRstMsg")
-                + stats.sent_by(self.node_id, "JoinWaitMsg")
-            )
+            body["theorem3"] = stats.theorem3_count(self.node_id)
             body["join_noti_sent"] = stats.sent_by(
                 self.node_id, "JoinNotiMsg"
             )

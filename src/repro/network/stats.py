@@ -8,17 +8,18 @@ These back the paper's measurements:
 * Footnote 8: ``SpeNotiMsg`` is rarely sent.
 * Section 6.2: bytes saved by the message-size reductions.
 
-Since the observability subsystem (:mod:`repro.obs`) landed, the
-storage behind these counters is a
-:class:`~repro.obs.metrics.MetricsRegistry`: every legacy counter is a
+The storage behind these counters is a
+:class:`~repro.obs.metrics.MetricsRegistry`: every counter is a
 labelled metric (``messages_sent{type=...}``,
 ``messages_sent_by{sender=...,type=...}``, ``message_bytes{type=...}``,
-``messages_dropped{type=...}``), so a registry snapshot reproduces the
-paper's accounting without bespoke counters.  The public
-:class:`MessageStats` API is unchanged; the dict attributes
-(``count_by_type`` etc.) are now read-only views materialized from the
-registry.  Hot-path cost is preserved by caching the counter objects
-per type and per (sender, type).
+``messages_dropped{type=...}``, ``messages_retransmitted{type=...}``),
+so a registry snapshot reproduces the paper's accounting without
+bespoke counters, and a per-type tally is a registry query such as
+``stats.registry.values_by_label("message_bytes", "type")``.
+:class:`MessageStats` owns that label layout and the hot-path cost: it
+caches the counter objects per type and per (sender, type), and
+answers the per-sender reads (:meth:`~MessageStats.sent_by`,
+:meth:`~MessageStats.theorem3_count`) without flushing them.
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.ids.digits import NodeId
 from repro.network.message import Message
 from repro.obs.metrics import Counter, MetricsRegistry
-
-
-class _ZeroDict(dict):
-    """A plain dict that reads 0 for missing keys (defaultdict view
-    semantics for the legacy ``MessageStats`` attributes, without
-    inserting on read)."""
-
-    def __missing__(self, key):
-        return 0
 
 
 def _flush_by_sender(
@@ -68,7 +60,7 @@ class MessageStats:
     ``registry`` is the backing metrics store; pass a shared
     :class:`~repro.obs.metrics.MetricsRegistry` to co-locate message
     accounting with the rest of a run's metrics, or omit it to get a
-    private one (the legacy behaviour).
+    private one.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -76,7 +68,6 @@ class MessageStats:
         # Hot-path caches: one dict lookup per send instead of a
         # registry get-or-create with label canonicalization.
         self._sent: Dict[str, Counter] = {}
-        self._bytes: Dict[str, Counter] = {}
         # (sent, bytes) counter pairs per type: on_send resolves both
         # of its per-type counters with a single dict probe.
         self._send_pair: Dict[str, Tuple[Counter, Counter]] = {}
@@ -114,7 +105,6 @@ class MessageStats:
             sent = self.registry.counter("messages_sent", type=name)
             byts = self.registry.counter("message_bytes", type=name)
             self._sent[name] = sent
-            self._bytes[name] = byts
             pair = (sent, byts)
             self._send_pair[name] = pair
         # Direct .value bumps: Counter.inc's non-negativity check is
@@ -158,49 +148,7 @@ class MessageStats:
         retransmitted.inc()
         self._total_retransmitted.inc()
 
-    # -- legacy dict views ----------------------------------------------
-
-    @property
-    def count_by_type(self) -> Dict[str, int]:
-        """Per-type send counts (read-only view; missing keys read 0)."""
-        return _ZeroDict(
-            (name, counter.value) for name, counter in self._sent.items()
-        )
-
-    @property
-    def bytes_by_type(self) -> Dict[str, int]:
-        """Per-type byte totals (read-only view; missing keys read 0)."""
-        return _ZeroDict(
-            (name, counter.value) for name, counter in self._bytes.items()
-        )
-
-    @property
-    def dropped_by_type(self) -> Dict[str, int]:
-        """Per-type drop counts (read-only view; missing keys read 0)."""
-        return _ZeroDict(
-            (name, counter.value) for name, counter in self._dropped.items()
-        )
-
-    @property
-    def retransmitted_by_type(self) -> Dict[str, int]:
-        """Per-type retransmit counts (read-only; missing keys read 0)."""
-        return _ZeroDict(
-            (name, counter.value)
-            for name, counter in self._retransmitted.items()
-        )
-
-    @property
-    def count_by_sender_type(self) -> Dict[NodeId, Dict[str, int]]:
-        """Nested sender -> type -> count view (missing keys read 0)."""
-        out: Dict[NodeId, Dict[str, int]] = {}
-        for key in self._by_sender.keys() | self._by_sender_pending.keys():
-            sender, name = key
-            per_sender = out.get(sender)
-            if per_sender is None:
-                per_sender = _ZeroDict()
-                out[sender] = per_sender
-            per_sender[name] = self._sent_by(key)
-        return out
+    # -- read side -------------------------------------------------------
 
     @property
     def total_messages(self) -> int:
@@ -222,8 +170,6 @@ class MessageStats:
         """All wire-level retransmissions so far (0 in simulation)."""
         return self._total_retransmitted.value
 
-    # -- read side -------------------------------------------------------
-
     def count(self, type_name: str) -> int:
         """Total messages of ``type_name`` sent so far."""
         counter = self._sent.get(type_name)
@@ -244,13 +190,11 @@ class MessageStats:
         """Per-sender counts of one type, in the given sender order."""
         return [self.sent_by(sender, type_name) for sender in senders]
 
-    def big_message_count(self, sender: NodeId) -> int:
-        """Total of the paper's 'big' message types sent by ``sender``
-        (CpRstMsg, JoinWaitMsg, JoinNotiMsg)."""
-        return (
-            self.sent_by(sender, "CpRstMsg")
-            + self.sent_by(sender, "JoinWaitMsg")
-            + self.sent_by(sender, "JoinNotiMsg")
+    def theorem3_count(self, sender: NodeId) -> int:
+        """``CpRstMsg + JoinWaitMsg`` sent by ``sender``: the count
+        Theorem 3 bounds by ``d + 1`` per joiner."""
+        return self._sent_by((sender, "CpRstMsg")) + self._sent_by(
+            (sender, "JoinWaitMsg")
         )
 
     def snapshot(self) -> Dict[str, int]:

@@ -12,7 +12,7 @@ This package makes both first-class:
   (``message.send`` / ``message.deliver``).
 * :class:`~repro.obs.metrics.MetricsRegistry` -- labelled counters,
   gauges and histograms; :class:`~repro.network.stats.MessageStats`
-  is backed by one, so every legacy counter is also a metric.
+  is backed by one, so every message counter is also a metric.
 * Exporters -- JSONL traces (round-trippable) and flat dict/CSV
   metrics snapshots.
 * :class:`~repro.obs.tracer.NullTracer` -- the disabled path;

@@ -334,9 +334,7 @@ class LiveAuditor:
         bound = self.report.theorem3_bound
         worst = self.report.theorem3_max
         for joiner in self.network.joiner_ids:
-            count = stats.sent_by(joiner, "CpRstMsg") + stats.sent_by(
-                joiner, "JoinWaitMsg"
-            )
+            count = stats.theorem3_count(joiner)
             if count > worst:
                 worst = count
             if count > bound and joiner not in self._flagged_theorem3:

@@ -233,11 +233,13 @@ class MetricsRegistry:
     def values_by_label(
         self, name: str, label: str
     ) -> Dict[str, float]:
-        """Map one label's values to counter/gauge readings.
+        """Map one label's values to counter/gauge readings, summed
+        over the metric's other labels.
 
         ``values_by_label("messages_sent", "type")`` returns the
         per-message-type counts, i.e. :meth:`MessageStats.snapshot`
-        rebuilt from the registry.
+        rebuilt from the registry; ``values_by_label("messages_sent_by",
+        "type")`` adds up every sender's count of each type.
         """
         self._collect()
         out: Dict[str, float] = {}
@@ -246,7 +248,8 @@ class MetricsRegistry:
                 continue
             label_dict = dict(labels)
             if label in label_dict:
-                out[label_dict[label]] = instrument.value
+                value = label_dict[label]
+                out[value] = out.get(value, 0) + instrument.value
         return out
 
     def __len__(self) -> int:

@@ -34,7 +34,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.trace import NullTraceLog, TraceLog
 from repro.ids.digits import NodeId
 from repro.ids.idspace import IdSpace
 from repro.network.stats import MessageStats
@@ -83,7 +82,6 @@ class JoinProtocolNetwork:
         idspace: IdSpace,
         latency_model: Optional[LatencyModel] = None,
         sizing: SizingPolicy = SizingPolicy.FULL,
-        trace: Optional[TraceLog] = None,
         seed: int = 0,
         obs: Optional[Observability] = None,
         runtime: Optional[Runtime] = None,
@@ -125,7 +123,6 @@ class JoinProtocolNetwork:
             tracer=obs.tracer if obs is not None else None,
         )
         self.sizing = sizing
-        self.trace = trace if trace is not None else NullTraceLog()
         self.nodes: Dict[NodeId, ProtocolNode] = {}
         self.departed: Dict[NodeId, ProtocolNode] = {}
         self.initial_ids: List[NodeId] = []
@@ -163,7 +160,6 @@ class JoinProtocolNetwork:
         initial_ids: Sequence[NodeId],
         latency_model: Optional[LatencyModel] = None,
         sizing: SizingPolicy = SizingPolicy.FULL,
-        trace: Optional[TraceLog] = None,
         seed: int = 0,
         randomize_tables: bool = True,
         obs: Optional[Observability] = None,
@@ -181,7 +177,6 @@ class JoinProtocolNetwork:
             idspace,
             latency_model=latency_model,
             sizing=sizing,
-            trace=trace,
             seed=seed,
             obs=obs,
             runtime=runtime,
@@ -201,7 +196,6 @@ class JoinProtocolNetwork:
             status=NodeStatus.IN_SYSTEM,
             table=table,
             sizing=self.sizing,
-            trace=self.trace,
         )
         node.on_departed = self._on_departed
         self.nodes[node_id] = node
@@ -283,7 +277,6 @@ class JoinProtocolNetwork:
             self.transport,
             status=NodeStatus.COPYING,
             sizing=self.sizing,
-            trace=self.trace,
         )
         node.on_departed = self._on_departed
         listeners = self._phase_listeners
@@ -412,17 +405,8 @@ class JoinProtocolNetwork:
         """Number of JoinNotiMsg sent by each joiner (Figure 15(b))."""
         return self.stats.sent_by_each(self.joiner_ids, "JoinNotiMsg")
 
-    def big_message_counts(self) -> List[int]:
-        """CpRstMsg + JoinWaitMsg + JoinNotiMsg per joiner."""
-        return [
-            self.stats.big_message_count(joiner)
-            for joiner in self.joiner_ids
-        ]
-
     def theorem3_counts(self) -> List[int]:
         """CpRstMsg + JoinWaitMsg per joiner (bounded by d+1, Thm 3)."""
         return [
-            self.stats.sent_by(joiner, "CpRstMsg")
-            + self.stats.sent_by(joiner, "JoinWaitMsg")
-            for joiner in self.joiner_ids
+            self.stats.theorem3_count(joiner) for joiner in self.joiner_ids
         ]

@@ -61,7 +61,6 @@ from repro.protocol.sizing import (
     join_noti_reply_payload,
 )
 from repro.protocol.status import NodeStatus
-from repro.core.trace import NullTraceLog, TraceLog
 from repro.routing.backups import BackupStore
 from repro.routing.entry import NeighborState
 from repro.routing.table import NeighborTable, TableSnapshot
@@ -116,7 +115,7 @@ class ProtocolNode(
     """
 
     __slots__ = (
-        "status", "sizing", "trace", "_trace_fill", "on_phase", "table",
+        "status", "sizing", "on_phase", "table",
         "noti_level", "join_began_at", "became_s_at",
         "_copy_level", "_copy_prev", "_copy_target",
         "_queues", "_backups",
@@ -135,15 +134,10 @@ class ProtocolNode(
         status: NodeStatus = NodeStatus.IN_SYSTEM,
         table: Optional[NeighborTable] = None,
         sizing: SizingPolicy = SizingPolicy.FULL,
-        trace: Optional[TraceLog] = None,
     ):
         super().__init__(node_id, transport)
         self.status = status
         self.sizing = sizing
-        self.trace = trace if trace is not None else NullTraceLog()
-        # Category enablement is fixed at TraceLog construction, so the
-        # hot fill path can skip building record kwargs when disabled.
-        self._trace_fill = self.trace.enabled("fill")
         #: Optional observability hook, called as
         #: ``on_phase(node_id, status, now)`` when the join begins and
         #: on every status transition (see repro.obs.JoinObserver).
@@ -218,9 +212,6 @@ class ProtocolNode(
     q_spe_sent = property(lambda self: self._join_queues().spe_sent)
 
     def _set_status(self, status: NodeStatus) -> None:
-        self.trace.record(
-            self.now, "status", node=self.node_id, status=status
-        )
         self.status = status
         if self.on_phase is not None:
             self.on_phase(self.node_id, status, self.now)
@@ -236,11 +227,6 @@ class ProtocolNode(
         :meth:`~repro.routing.table.NeighborTable.fill_empty` applies.
         """
         self.table.fill_empty(level, digit, node, state)
-        if self._trace_fill:
-            self.trace.record(
-                self.now, "fill", node=self.node_id, level=level,
-                digit=digit, neighbor=node, state=state,
-            )
         if node != self.node_id:
             self.send(node, RvNghNotiMsg(self.node_id, level, digit, state))
 

@@ -2,9 +2,9 @@
 
 Implements Section 2 of the paper: neighbor tables with ``d`` levels of
 ``b`` entries (:mod:`~repro.routing.table`), the suffix-matching
-routing scheme (:mod:`~repro.routing.router`), reachability in the
-sense of Definition 3.7 (:mod:`~repro.routing.reachability`), and an
-*oracle* constructor that builds consistent tables directly from global
+routing scheme (:mod:`~repro.routing.router`, whose ``route`` also
+decides reachability in the sense of Definition 3.7), and an *oracle*
+constructor that builds consistent tables directly from global
 knowledge (:mod:`~repro.routing.oracle`) -- used to set up the initial
 consistent network ``<V, N(V)>`` for experiments without paying for a
 full protocol bootstrap.
@@ -12,7 +12,6 @@ full protocol bootstrap.
 
 from repro.routing.entry import NeighborState, TableEntry
 from repro.routing.oracle import build_consistent_tables
-from repro.routing.reachability import is_reachable, reachability_path
 from repro.routing.router import (
     RouteResult,
     next_hop,
@@ -29,9 +28,7 @@ __all__ = [
     "TableSnapshot",
     "build_consistent_tables",
     "format_table",
-    "is_reachable",
     "next_hop",
-    "reachability_path",
     "route",
     "surrogate_route",
 ]

@@ -144,6 +144,14 @@ def route(
 
     ``max_hops`` defaults to ``d`` (sufficient on a consistent network;
     the suffix-match length strictly increases each hop).
+
+    ``result.success`` is reachability in the sense of Definition 3.7,
+    and ``result.path`` the neighbor sequence ``u_0 .. u_k`` with
+    ``u_0 = source`` and ``u_k = target``.  The definition indexes the
+    table level by the hop count, which coincides with the matched
+    suffix length along the canonical route from a node with no shared
+    suffix; this is the equivalent suffix-progress form, starting at
+    level ``|csuf(source, target)|``.
     """
     if max_hops is None:
         max_hops = source.num_digits

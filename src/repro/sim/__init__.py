@@ -9,9 +9,6 @@ simulator" (Section 5.2).  This package provides that substrate:
   loop.
 * :mod:`~repro.sim.rng` -- seeded random-stream management so every
   experiment is reproducible.
-
-Protocol trace records live with the sans-io core, in
-:mod:`repro.core.trace`.
 """
 
 from repro.sim.events import Event, EventQueue

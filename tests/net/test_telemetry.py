@@ -132,7 +132,10 @@ class TestSendAccountingParity:
                 net.run()
             wire_counts = {}
             for transport in net.transports:
-                for name, value in transport.stats.count_by_type.items():
+                by_type = transport.stats.registry.values_by_label(
+                    "messages_sent", "type"
+                )
+                for name, value in by_type.items():
                     wire_counts[name] = wire_counts.get(name, 0) + value
             retransmitted = sum(
                 t.stats.total_retransmitted for t in net.transports
@@ -148,7 +151,9 @@ class TestSendAccountingParity:
         for node_id in ids[1:]:
             sim.start_join(node_id, gateway=ids[0], at=sim.runtime.now)
             sim.run()
-        sim_counts = dict(sim.stats.count_by_type)
+        sim_counts = sim.stats.registry.values_by_label(
+            "messages_sent", "type"
+        )
 
         assert retransmitted == 0
         assert retransmit_wire == 0
@@ -164,8 +169,10 @@ class TestSendAccountingParity:
         stats.on_send(message)
         stats.on_retransmit(message)
         stats.on_retransmit(message)
-        assert stats.count_by_type["CpRstMsg"] == 1
-        assert stats.retransmitted_by_type["CpRstMsg"] == 2
+        assert stats.count("CpRstMsg") == 1
+        assert stats.registry.values_by_label(
+            "messages_retransmitted", "type"
+        ) == {"CpRstMsg": 2}
         assert stats.total_messages == 1
         assert stats.total_retransmitted == 2
 

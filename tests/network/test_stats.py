@@ -42,15 +42,18 @@ class TestMessageStats:
         stats = MessageStats()
         stats.on_send(Fake(A))
         assert stats.total_bytes == HEADER_BYTES
-        assert stats.bytes_by_type["Fake"] == HEADER_BYTES
+        by_type = stats.registry.values_by_label("message_bytes", "type")
+        assert by_type == {"Fake": HEADER_BYTES}
 
-    def test_big_message_count(self):
+    def test_theorem3_count(self):
         stats = MessageStats()
         stats.on_send(CpRstLike(A))
         stats.on_send(JoinWaitLike(A))
         stats.on_send(JoinNotiLike(A))
         stats.on_send(Fake(A))
-        assert stats.big_message_count(A) == 3
+        stats.on_send(CpRstLike(B))
+        assert stats.theorem3_count(A) == 2
+        assert stats.theorem3_count(B) == 1
 
     def test_sent_by_each_preserves_order(self):
         stats = MessageStats()
@@ -86,8 +89,8 @@ class TestPerSenderReads:
         self._sends(stats)
         assert stats.sent_by(A, "CpRstMsg") == 2
         assert stats.sent_by_each([A, B], "JoinNotiMsg") == [0, 1]
-        assert stats.big_message_count(A) == 3
-        assert stats.count_by_sender_type[B]["Fake"] == 1
+        assert stats.theorem3_count(A) == 3
+        assert stats.sent_by(B, "Fake") == 1
         assert _per_sender_instruments(registry) == []
 
     def test_reads_span_flushed_and_pending_counts(self):
@@ -97,8 +100,9 @@ class TestPerSenderReads:
         registry.snapshot()
         self._sends(stats)
         assert stats.sent_by(A, "CpRstMsg") == 4
-        assert stats.big_message_count(B) == 2
-        assert stats.count_by_sender_type[A]["JoinWaitMsg"] == 2
+        assert stats.theorem3_count(A) == 6
+        assert stats.sent_by(B, "JoinNotiMsg") == 2
+        assert stats.sent_by(A, "JoinWaitMsg") == 2
 
     def test_export_after_reads_equals_unread_export(self):
         def export(read: bool):
@@ -107,7 +111,7 @@ class TestPerSenderReads:
             self._sends(stats)
             if read:
                 stats.sent_by(A, "CpRstMsg")
-                stats.big_message_count(B)
+                stats.theorem3_count(B)
             return registry.snapshot()
 
         exported = export(read=True)

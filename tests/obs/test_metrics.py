@@ -106,6 +106,18 @@ class TestRegistry:
         registry.counter("other", type="A").inc(9)
         assert registry.values_by_label("sent", "type") == {"A": 3, "B": 1}
 
+    def test_values_by_label_sums_over_other_labels(self):
+        registry = MetricsRegistry()
+        registry.counter("sent_by", sender="a", type="X").inc(3)
+        registry.counter("sent_by", sender="b", type="X").inc(2)
+        registry.counter("sent_by", sender="b", type="Y").inc(1)
+        assert registry.values_by_label("sent_by", "type") == {
+            "X": 5, "Y": 1,
+        }
+        assert registry.values_by_label("sent_by", "sender") == {
+            "a": 3, "b": 3,
+        }
+
     def test_contains_and_len(self):
         registry = MetricsRegistry()
         registry.counter("sent", type="A")

@@ -1,5 +1,5 @@
-"""MessageStats over the metrics registry: legacy API preserved,
-drop accounting, and shared-registry visibility."""
+"""MessageStats over the metrics registry: per-type reads through the
+registry, drop accounting, and shared-registry visibility."""
 
 from repro.ids.idspace import IdSpace
 from repro.network.message import HEADER_BYTES, Message
@@ -26,13 +26,14 @@ class TestDropAccounting:
         stats.on_drop(Fake(B))
         stats.on_drop(Probe(A))
         assert stats.total_dropped == 3
-        assert stats.dropped_by_type["Fake"] == 2
-        assert stats.dropped_by_type["ProbeMsg"] == 1
+        assert stats.registry.values_by_label("messages_dropped", "type") == {
+            "Fake": 2, "ProbeMsg": 1,
+        }
 
     def test_missing_type_reads_zero(self):
         stats = MessageStats()
         assert stats.total_dropped == 0
-        assert stats.dropped_by_type["Never"] == 0
+        assert stats.registry.values_by_label("messages_dropped", "type") == {}
 
     def test_drops_do_not_count_as_sends(self):
         stats = MessageStats()
@@ -79,17 +80,19 @@ class TestRegistryBacking:
         assert a.registry is not b.registry
 
     def test_legacy_dict_views_are_copies(self):
+        """A per-type dict read from the registry is a copy."""
         stats = MessageStats()
         stats.on_send(Fake(A))
-        view = stats.count_by_type
+        view = stats.registry.values_by_label("messages_sent", "type")
         view["Fake"] = 99
         assert stats.count("Fake") == 1
+        assert stats.registry.value("messages_sent", type="Fake") == 1
 
     def test_count_by_sender_type_nested_view(self):
+        """Sender x type counts are ``sent_by`` reads; missing pairs 0."""
         stats = MessageStats()
         stats.on_send(Fake(A))
         stats.on_send(Probe(A))
-        nested = stats.count_by_sender_type
-        assert nested[A]["Fake"] == 1
-        assert nested[A]["ProbeMsg"] == 1
-        assert nested[A]["Missing"] == 0
+        assert stats.sent_by(A, "Fake") == 1
+        assert stats.sent_by(A, "ProbeMsg") == 1
+        assert stats.sent_by(A, "Missing") == 0

@@ -106,10 +106,10 @@ class TestEndToEndReduced:
             net = build_network(space, ids[:40], seed=50, sizing=sizing)
             run_joins(net, ids[40:])
             assert_network_correct(net)
-            return (
-                net.stats.bytes_by_type["JoinNotiMsg"]
-                + net.stats.bytes_by_type["JoinNotiRlyMsg"]
+            by_type = net.stats.registry.values_by_label(
+                "message_bytes", "type"
             )
+            return by_type["JoinNotiMsg"] + by_type["JoinNotiRlyMsg"]
 
         full = total_bytes(SizingPolicy.FULL)
         reduced = total_bytes(SizingPolicy.REDUCED)

@@ -1,10 +1,10 @@
-"""Unit tests for reachability (Definition 3.7)."""
+"""Unit tests for reachability (Definition 3.7), decided by ``route``."""
 
 import random
 
 from repro.ids.idspace import IdSpace
 from repro.routing.oracle import build_consistent_tables
-from repro.routing.reachability import is_reachable, reachability_path
+from repro.routing.router import route
 
 
 def network(count=20, seed=0):
@@ -18,13 +18,14 @@ class TestReachability:
     def test_reachable_in_consistent_network(self):
         space, ids, tables = network()
         provider = lambda n: tables[n]  # noqa: E731
-        assert is_reachable(provider, ids[0], ids[1])
+        assert route(provider, ids[0], ids[1]).success
 
     def test_path_is_valid_neighbor_sequence(self):
         space, ids, tables = network(seed=2)
         provider = lambda n: tables[n]  # noqa: E731
-        path = reachability_path(provider, ids[0], ids[7])
-        assert path is not None
+        result = route(provider, ids[0], ids[7])
+        assert result.success
+        path = result.path
         assert path[0] == ids[0] and path[-1] == ids[7]
         for current, nxt in zip(path, path[1:]):
             level = current.csuf_len(ids[7])
@@ -36,10 +37,11 @@ class TestReachability:
         tables = build_consistent_tables([a])
         tables[b] = build_consistent_tables([b])[b]
         provider = lambda n: tables[n]  # noqa: E731
-        assert reachability_path(provider, a, b) is None
-        assert not is_reachable(provider, a, b)
+        result = route(provider, a, b)
+        assert not result.success
+        assert result.path[-1] != b
 
     def test_self_reachable(self):
         space, ids, tables = network()
         provider = lambda n: tables[n]  # noqa: E731
-        assert is_reachable(provider, ids[0], ids[0])
+        assert route(provider, ids[0], ids[0]).success

@@ -409,6 +409,25 @@ class TestLazyObs:
             env={"PYTHONPATH": str(SRC)},
         )
 
+    def test_worker_and_transport_skip_the_deployment_tier(self):
+        """``repro.net`` re-exports nothing: the exec worker and the UDP
+        transport load neither the cluster/collector/daemon/top modules
+        nor the obs analysis tier through the package ``__init__``."""
+        code = (
+            "import sys; import repro.exec.worker, repro.net.datagram; "
+            "heavy = ['repro.net.' + m for m in "
+            "('cluster', 'collect', 'daemon', 'top')] + "
+            "['repro.obs.' + m for m in "
+            "('causality', 'lifecycle', 'report', 'remote')]; "
+            "bad = [m for m in heavy if m in sys.modules]; "
+            "assert not bad, bad"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
+
 
 class TestOneJoinTask:
     """Figure 15(b), ``sweep`` and ``join --seeds`` all map
@@ -423,6 +442,30 @@ class TestOneJoinTask:
     )
 
     def test_no_second_join_task_or_task_name_table(self):
+        pattern = re.compile(r"\b(" + "|".join(self.GONE) + r")\b")
+        offenders = [
+            f"{path.relative_to(SRC)}: {match}"
+            for path in sorted(SRC.rglob("*.py"))
+            for match in pattern.findall(path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, offenders
+
+
+class TestOneRecordOfARun:
+    """A run is read through :mod:`repro.obs` and ``route``: the
+    protocol trace log, the second mid-run monitor, the Definition 3.7
+    wrappers and ``MessageStats``' dict views stay gone."""
+
+    GONE = (
+        "TraceLog", "NullTraceLog", "TraceRecord",
+        "run_with_monitor", "check_s_node_reachability", "MonitorReport",
+        "is_reachable", "reachability_path",
+        "count_by_type", "bytes_by_type", "dropped_by_type",
+        "retransmitted_by_type", "count_by_sender_type", "_ZeroDict",
+        "big_message_count",
+    )
+
+    def test_no_second_record_of_a_run(self):
         pattern = re.compile(r"\b(" + "|".join(self.GONE) + r")\b")
         offenders = [
             f"{path.relative_to(SRC)}: {match}"
