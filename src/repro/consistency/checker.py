@@ -112,7 +112,7 @@ def table_violations(
     *,
     require_s_states: bool,
     relaxed_occupants: bool,
-) -> None:
+) -> bool:
     """Append ``node_id``'s violations to ``found``, in position order.
     ``occupants`` holds the *packed* IDs an entry may point at (int
     hashing stays in C; hashing a NodeId is a method call per entry).
@@ -124,6 +124,10 @@ def table_violations(
     ``relaxed_occupants``), and every other filled entry is held to the
     occupant and state rules -- what a probe of all ``d * b`` cells
     against the suffix sets decides, without visiting the empty ones.
+
+    Returns, whatever the mode, whether the table is clean under the
+    strict rules: no violation found, exactly the required positions
+    filled (so no false positive) and every state ``S``.
     """
     packed = node_id._packed
     base = index.base
@@ -132,8 +136,11 @@ def table_violations(
     s_state = NeighborState.S
     required = index.required_positions(packed)
     count = len(required)
+    snapshot = table.snapshot()
+    already = len(found)
+    all_s = True
     i = 0
-    for level, digit, occupant, state in table.snapshot():
+    for level, digit, occupant, state in snapshot:
         idx = level * base + digit
         if i < count and required[i] == idx:
             i += 1
@@ -166,13 +173,16 @@ def table_violations(
                 f"{occupant} lacks the required suffix",
             ))
             continue
-        if require_s_states and state is not s_state:
-            found.append(Violation(
-                node_id, level, digit, "stale_state",
-                f"neighbor {occupant} still recorded as T",
-            ))
+        if state is not s_state:
+            all_s = False
+            if require_s_states:
+                found.append(Violation(
+                    node_id, level, digit, "stale_state",
+                    f"neighbor {occupant} still recorded as T",
+                ))
     for idx in required[i:]:
         found.append(_false_negative(node_id, idx, index))
+    return all_s and len(found) == already and len(snapshot) == count
 
 
 def _false_negative(

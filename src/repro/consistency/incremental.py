@@ -31,11 +31,12 @@ rebuilding its state from scratch.  That keeps the incremental path
 exact: for join-only workloads it never triggers; with leaves/failures
 the cost degrades gracefully to the full checker's.
 
-The checker implements the auditor's *relaxed occupant* mode only
+Calls run the auditor's mid-run *relaxed occupant* mode
 (``require_s_states=False`` with an explicit occupant set -- see
-:func:`check_consistency`): that is the mode that runs repeatedly
-mid-run.  The strict quiescence check runs once and stays on the full
-scanner.
+:func:`check_consistency`).  Each scan also tells whether the table is
+clean under the *strict* rules, and the checker keeps the version at
+which it was; the strict quiescence check then re-scans only the
+tables that changed since, on the same index.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class IncrementalChecker:
     and the acceptable occupant set, exactly like the relaxed-mode
     :func:`~repro.consistency.checker.check_consistency`; results agree
     with the full checker on every call (same violation positions and
-    kinds), while touching only dirty nodes.
+    kinds), while touching only dirty nodes.  At quiescence,
+    :meth:`check_final` stands in for the strict full check.
     """
 
     def __init__(self) -> None:
@@ -70,6 +72,9 @@ class IncrementalChecker:
         self._versions: Dict[NodeId, int] = {}
         #: node -> its currently cached violations (absent if clean).
         self._violations: Dict[NodeId, List[Violation]] = {}
+        #: node -> the table version at which its last scan found it
+        #: clean under the strict rules (absent otherwise).
+        self._strict_clean: Dict[NodeId, int] = {}
         self._occupants: Set[int] = set()
         #: Cumulative count of per-node verifications (observability;
         #: compare against calls * len(tables) for the saving).
@@ -105,6 +110,7 @@ class IncrementalChecker:
             self._index = None
             versions.clear()
             self._violations.clear()
+            self._strict_clean.clear()
             self.full_rescans += 1
         self._occupants = occupants
 
@@ -130,14 +136,18 @@ class IncrementalChecker:
         dirty.update(self._violations.keys() & tables.keys())
 
         cached = self._violations
+        strict_clean = self._strict_clean
         for member in dirty:
             table = tables[member]
-            versions[member] = table._version
+            version = versions[member] = table._version
             violations: List[Violation] = []
-            table_violations(
+            if table_violations(
                 member, table, index, occupants, violations,
                 require_s_states=False, relaxed_occupants=True,
-            )
+            ):
+                strict_clean[member] = version
+            else:
+                strict_clean.pop(member, None)
             if violations:
                 cached[member] = violations
             elif cached:
@@ -167,4 +177,37 @@ class IncrementalChecker:
                         break
             if out:
                 report.consistent = False
+        return report
+
+    def check_final(
+        self,
+        tables: Mapping[NodeId, NeighborTable],
+        require_s_states: bool = True,
+    ) -> ConsistencyReport:
+        """Strict Definition 3.8 over ``tables`` at quiescence.
+
+        Equivalent to ``check_consistency(tables,
+        require_s_states=require_s_states)`` (violation positions/kinds
+        in the same order, and the verdict).  A :meth:`check` pass
+        brings every verdict up to date -- indexing late members and
+        dirtying the classes they found -- then only tables not
+        strict-clean at their current version are scanned strictly.
+        """
+        before = self.nodes_reverified
+        self.check(tables, occupant_set=tables)
+        index = self._index
+        occupants = self._occupants
+        strict_clean = self._strict_clean
+        report = ConsistencyReport(consistent=True)
+        found = report.violations
+        for member, table in tables.items():
+            if strict_clean.get(member) != table._version:
+                self.nodes_reverified += 1
+                table_violations(
+                    member, table, index, occupants, found,
+                    require_s_states=require_s_states,
+                    relaxed_occupants=False,
+                )
+        report.consistent = not found
+        report.nodes_checked = self.nodes_reverified - before
         return report

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.ids.idspace import IdSpace
 from repro.net.datagram import DatagramTransport
@@ -60,12 +60,14 @@ from repro.net.wire import (
 )
 from repro.network.stats import MessageStats
 from repro.obs.instrument import JoinObserver
-from repro.obs.remote import DEFAULT_PAGE_LIMIT, RemoteTelemetry
 from repro.protocol.network_init import single_node_table
 from repro.protocol.node import ProtocolNode
 from repro.protocol.status import NodeStatus
 from repro.runtime.realtime import AsyncioRuntime
 from repro.runtime.interface import WallClockBudgetExceeded
+
+if TYPE_CHECKING:
+    from repro.obs.remote import RemoteTelemetry
 
 #: Exit codes (the cluster harness keys on these).
 EXIT_OK = 0
@@ -145,8 +147,13 @@ class NodeDaemon:
         self.config = config
         self.idspace = IdSpace(config.base, config.num_digits)
         self.runtime = AsyncioRuntime(time_scale=config.time_scale)
+        self.telemetry: Optional[RemoteTelemetry] = None
         if config.telemetry:
-            self.telemetry: Optional[RemoteTelemetry] = RemoteTelemetry(
+            # The telemetry bundle (and the exporters behind it) loads
+            # only where it is switched on.
+            from repro.obs.remote import RemoteTelemetry
+
+            self.telemetry = RemoteTelemetry(
                 spool_path=config.telemetry_file
             )
             stats = MessageStats(registry=self.telemetry.metrics)
@@ -154,7 +161,6 @@ class NodeDaemon:
                 self.telemetry.observability()
             )
         else:
-            self.telemetry = None
             stats = None
             self._join_observer = None
         self.transport = DatagramTransport(
@@ -395,6 +401,8 @@ class NodeDaemon:
         if op == "telemetry":
             if self.telemetry is None:
                 return {"error": "telemetry disabled"}
+            from repro.obs.remote import DEFAULT_PAGE_LIMIT
+
             body = body or {}
             page = self.telemetry.export_page(
                 spans_from=int(body.get("spans_from", 0)),

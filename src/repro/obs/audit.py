@@ -72,12 +72,11 @@ class AuditConfig:
     #: heavily broken networks).
     max_violations_per_sample: int = 200
     #: Use the stateful :class:`~repro.consistency.IncrementalChecker`
-    #: for mid-run samples: only nodes whose verdict could have changed
-    #: since the previous sample are re-verified, turning the per-sample
-    #: cost from O(n*d*b) into O(dirty).  Results are identical for the
-    #: join-only runs where it matters (membership shrink falls back to
-    #: a full rescan); the strict finalize() check always runs the full
-    #: scanner.  Off by default.
+    #: for every consistency check, finalize() included: only nodes
+    #: whose verdict could have changed since the previous check are
+    #: re-verified, turning the cost from O(n*d*b) into O(dirty).
+    #: Reports are identical to the full scanner's (membership shrink
+    #: falls back to a full rescan).  Off by default.
     incremental: bool = False
 
     def validated(self) -> "AuditConfig":
@@ -349,17 +348,14 @@ class LiveAuditor:
         self.report.theorem3_max = worst
         return worst
 
-    def _check_consistency(self, now: float) -> Tuple[int, int]:
-        """Definition 3.8 over S-nodes plus stalled joiners.
+    def _check_consistency(
+        self, now: float, audited: Dict[Any, Any]
+    ) -> Tuple[int, int]:
+        """Definition 3.8 over ``audited``: S-nodes plus stalled joiners.
 
         Returns ``(violations_now, persistent_violations)``.
         """
         nodes = self.network.nodes
-        audited = {
-            node_id: node.table
-            for node_id, node in nodes.items()
-            if node.status.is_s_node or node_id in self._stalled
-        }
         if self._incremental is not None:
             result = self._incremental.check(
                 audited,
@@ -403,14 +399,23 @@ class LiveAuditor:
         """Take one audit sample at virtual time ``now``."""
         self._check_stalls(now)
         self._check_theorem3(now)
-        violations, persistent = self._check_consistency(now)
-        statuses = [
-            node.status.is_s_node for node in self.network.nodes.values()
-        ]
+        nodes = self.network.nodes
+        stalled = self._stalled
+        audited = {
+            node_id: node.table
+            for node_id, node in nodes.items()
+            if node.status.is_s_node or node_id in stalled
+        }
+        # Every S-node is audited, and so is every stalled joiner.
+        s_nodes = len(audited) - sum(
+            1 for node_id in stalled
+            if node_id in audited and not nodes[node_id].status.is_s_node
+        )
+        violations, persistent = self._check_consistency(now, audited)
         sample = AuditSample(
             time=now,
-            s_nodes=sum(statuses),
-            t_nodes=len(statuses) - sum(statuses),
+            s_nodes=s_nodes,
+            t_nodes=len(nodes) - s_nodes,
             open_joins=len(self._phase_entered),
             violations=violations,
             persistent_violations=persistent,
@@ -442,7 +447,12 @@ class LiveAuditor:
             node_id: node.table for node_id, node in net.nodes.items()
         }
         all_s = all(node.status.is_s_node for node in net.nodes.values())
-        final = check_consistency(tables, require_s_states=all_s)
+        if self._incremental is not None:
+            final = self._incremental.check_final(
+                tables, require_s_states=all_s
+            )
+        else:
+            final = check_consistency(tables, require_s_states=all_s)
         self.report.final_consistent = final.consistent
         self.report.all_in_system = all_s
         if not final.consistent:

@@ -200,19 +200,13 @@ class TestIncrementalAuditor:
         full, incremental = self._reports(fault=False)
         assert incremental.passed and full.passed
         assert len(incremental.samples) == len(full.samples)
-        for ours, theirs in zip(incremental.samples, full.samples):
-            assert ours.to_json_dict() == theirs.to_json_dict()
+        assert incremental.to_json_dict() == full.to_json_dict()
 
     def test_faulted_run_flags_same_incidents(self):
         full, incremental = self._reports(fault=True)
         assert not incremental.passed and not full.passed
-        assert [
-            (incident.kind, incident.severity, incident.time)
-            for incident in incremental.incidents
-        ] == [
-            (incident.kind, incident.severity, incident.time)
-            for incident in full.incidents
+        assert [i.kind for i in incremental.incidents] == [
+            "quiescent_stall", "final_consistency",
         ]
-        assert [s.violations for s in incremental.samples] == [
-            s.violations for s in full.samples
-        ]
+        # Every sample, gate and incident detail string.
+        assert incremental.to_json_dict() == full.to_json_dict()

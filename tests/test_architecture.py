@@ -428,6 +428,21 @@ class TestLazyObs:
             env={"PYTHONPATH": str(SRC)},
         )
 
+    def test_node_daemon_loads_telemetry_only_when_enabled(self):
+        """``repro.net.daemon`` imports the telemetry bundle (and the
+        exporters behind it) where ``--telemetry`` switches it on."""
+        code = (
+            "import sys; import repro.net.daemon; "
+            "bad = [m for m in ('repro.obs.remote', 'repro.obs.export') "
+            "if m in sys.modules]; "
+            "assert not bad, bad"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
+
 
 class TestOneJoinTask:
     """Figure 15(b), ``sweep`` and ``join --seeds`` all map
