@@ -510,7 +510,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.exec.worker import run_worker_daemon
+    from repro.exec.worker import WorkerDaemon
     from repro.net.wire import parse_hostport
 
     try:
@@ -521,30 +521,16 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run_worker_daemon(
-        listen,
-        rendezvous=rendezvous,
-        announce_interval=args.announce_interval,
-    )
+    return WorkerDaemon(
+        listen, rendezvous, announce_interval=args.announce_interval
+    ).run()
 
 
 def _cmd_rendezvous(args: argparse.Namespace) -> int:
     from repro.net.rendezvous import RendezvousServer
     from repro.net.wire import parse_hostport
 
-    server = RendezvousServer(parse_hostport(args.listen), ttl=args.ttl)
-    host, port = server.open()
-    print(
-        f"REPRO-NET READY kind=rendezvous host={host} port={port}",
-        flush=True,
-    )
-    try:
-        server.serve()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.close()
-    return 0
+    return RendezvousServer(parse_hostport(args.listen), ttl=args.ttl).run()
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         decode_task_value,
         encode_task_value,
     )
-    from repro.exec.worker import WorkerDaemon, run_worker_daemon
+    from repro.exec.worker import WorkerDaemon
 
 _LAZY = {
     "ProcessPoolBackend": "repro.exec.pool",
@@ -70,7 +70,6 @@ _LAZY = {
     "decode_task_value": "repro.exec.taskcodec",
     "encode_task_value": "repro.exec.taskcodec",
     "WorkerDaemon": "repro.exec.worker",
-    "run_worker_daemon": "repro.exec.worker",
 }
 
 __all__ = [
@@ -94,7 +93,6 @@ __all__ = [
     "encode_task_value",
     "resolve_jobs",
     "resolve_task",
-    "run_worker_daemon",
     "task_name",
 ]
 

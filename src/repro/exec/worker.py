@@ -39,10 +39,13 @@ the byte-identical result.  A result too large for one datagram is
 stored as a task *error* (``OversizedMessageError``): the coordinator
 fails the campaign deterministically and the worker lives.
 
-With ``--rendezvous`` the worker announces itself (``kind="worker"``,
-never an S-node) to the PR-6 bootstrap directory, which is how
-backends discover rosters and how ``repro top`` lists workers
-alongside cluster daemons.  On startup the daemon prints::
+The socket side is the :class:`~repro.net.control.ControlServer` loop
+the rendezvous directory also runs; its ``tick`` hook is the
+heartbeat.  With ``--rendezvous`` the worker announces itself
+(``kind="worker"``, never an S-node) as the loop starts and every
+``--announce-interval`` seconds, which is how backends discover
+rosters and how ``repro top`` lists workers alongside cluster daemons.
+On startup the daemon prints::
 
     REPRO-NET READY kind=worker id=<id> host=<host> port=<port>
 """
@@ -52,7 +55,6 @@ from __future__ import annotations
 import collections
 import functools
 import queue
-import socket
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
@@ -60,7 +62,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.exec.registry import resolve_task
 from repro.exec.taskcodec import decode_task_value, encode_task_value
 from repro.ids.idspace import IdSpace
-from repro.net.control import serve_control_datagram
+from repro.net.control import ControlHandler, ControlServer, ready_line
 from repro.net.wire import Address, ctl_frame, encode_frame, node_id_to_wire
 
 #: Finished results kept for re-polls (bounded; oldest evicted).
@@ -74,18 +76,12 @@ MAX_TID_CHARS = 200
 #: Seconds between rendezvous re-announcements.
 DEFAULT_ANNOUNCE_INTERVAL = 15.0
 
-#: Socket poll granularity of the serve loop (seconds).
-_POLL_TIMEOUT = 0.2
 
+class WorkerDaemon(ControlServer):
+    """One sweep worker: the control server's loop plus a task thread;
+    :meth:`handle` is unit-testable without a socket."""
 
-class WorkerDaemon:
-    """One sweep worker: a UDP control server plus a task thread.
-
-    ``serve()`` blocks until a ``stop`` op arrives (or :meth:`stop` is
-    called from another thread, which is how in-process tests drive
-    it).  ``handle()`` is the socket-free op dispatcher, directly
-    unit-testable like the rendezvous server's.
-    """
+    kind = "worker"
 
     def __init__(
         self,
@@ -93,14 +89,13 @@ class WorkerDaemon:
         rendezvous: Optional[Address] = None,
         announce_interval: float = DEFAULT_ANNOUNCE_INTERVAL,
     ):
-        self.listen = listen
+        super().__init__(listen)
         self.rendezvous = rendezvous
         self.announce_interval = announce_interval
         self.worker_id = None
         self.tasks_done = 0
         self.tasks_failed = 0
         self.pushes_sent = 0
-        self._sock: Optional[socket.socket] = None
         # (tid, fn name, encoded task, where to push ``done``).
         self._queue: (
             "queue.Queue[Optional[Tuple[str, str, Any, Optional[Address]]]]"
@@ -110,25 +105,21 @@ class WorkerDaemon:
         )
         self._current: Optional[str] = None
         self._lock = threading.Lock()
-        self._stop = threading.Event()
         self._runner: Optional[threading.Thread] = None
         self._started_at = time.monotonic()
-        self._next_rid = 1
+        self._last_announce = float("-inf")
+        self._next_rid = 0
 
     # -- lifecycle ------------------------------------------------------
 
     def open(self) -> Address:
         """Bind the socket, derive the worker id, start the task
         thread; returns the bound address."""
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(self.listen)
-        host, port = self._sock.getsockname()[:2]
-        self.listen = (host, port)
+        host, port = super().open()
         # A worker is not a protocol node, but the rendezvous directory
         # keys registrations by NodeId -- hash the address into the
         # default id space so every worker has a distinct, stable row.
         self.worker_id = IdSpace(16, 8).hash_name(f"worker:{host}:{port}")
-        self._started_at = time.monotonic()
         self._runner = threading.Thread(
             target=self._run_tasks, name="repro-worker-tasks", daemon=True
         )
@@ -136,58 +127,29 @@ class WorkerDaemon:
         return self.listen
 
     def ready_line(self) -> str:
-        """The machine-readable startup line supervisors wait for."""
-        host, port = self.listen
-        return (
-            f"REPRO-NET READY kind=worker id={self.worker_id} "
-            f"host={host} port={port}"
-        )
+        """The READY line, with the worker id."""
+        return ready_line(self.kind, self.listen, self.worker_id)
 
-    def serve(self) -> None:
-        """Answer control requests (and heartbeat the rendezvous)
-        until stopped."""
-        assert self._sock is not None, "serve() before open()"
-        self._sock.settimeout(_POLL_TIMEOUT)
-        self._announce()
-        last_announce = time.monotonic()
-        while not self._stop.is_set():
-            try:
-                data, addr = self._sock.recvfrom(65535)
-            except socket.timeout:
-                pass
-            except OSError:
-                break  # socket closed under us (close() from a test)
-            else:
-                self._on_datagram(data, (addr[0], addr[1]))
-            now = time.monotonic()
-            if now - last_announce >= self.announce_interval:
-                self._announce()
-                last_announce = now
+    def handler(self) -> ControlHandler:
+        """:meth:`handle` with every source marked ``reachable``."""
+        return functools.partial(self.handle, reachable=True)
 
-    def stop(self) -> None:
-        """Ask the serve loop to exit (threadsafe)."""
-        self._stop.set()
+    def tick(self) -> None:
+        """Heartbeat the rendezvous every ``announce_interval``."""
+        now = time.monotonic()
+        if now - self._last_announce >= self.announce_interval:
+            self._send_control("announce", s=False, kind="worker")
+            self._last_announce = now
 
     def close(self) -> None:
         """Stop serving, retire the task thread, release the socket."""
-        self._stop.set()
+        self.stop()
         self._queue.put(None)
         if self._runner is not None:
             self._runner.join(timeout=2.0)
             self._runner = None
-        if self._sock is not None:
-            self._send_control("remove")
-            self._sock.close()
-            self._sock = None
-
-    # -- datagram glue --------------------------------------------------
-
-    def _on_datagram(self, data: bytes, addr: Address) -> None:
-        reply = serve_control_datagram(
-            data, functools.partial(self.handle, reachable=True), addr
-        )
-        if reply is not None and self._sock is not None:
-            self._sock.sendto(reply, addr)
+        self._send_control("remove")
+        super().close()
 
     # -- control ops ----------------------------------------------------
 
@@ -200,8 +162,8 @@ class WorkerDaemon:
     ) -> Optional[Dict[str, Any]]:
         """Process one control op; returns the response body.
 
-        ``reachable`` says ``addr`` is a datagram's source as
-        ``recvfrom`` reported it (only the serve loop sets it): a
+        ``reachable`` says ``addr`` is a datagram's source as the
+        socket reported it (only :meth:`handler` sets it): a
         ``submit`` remembers just such addresses for its ``done``
         push, so a made-up one is never resolved on the task thread.
         """
@@ -221,7 +183,7 @@ class WorkerDaemon:
         if op == "ping":
             return {"ok": True}
         if op == "stop":
-            self._stop.set()
+            self.stop()
             return {"ok": True}
         return {"error": f"unknown op: {op}"}
 
@@ -314,70 +276,24 @@ class WorkerDaemon:
 
     def _push(self, data: bytes, origin: Address) -> None:
         """Fire-and-forget: the result is already cached for ``poll``."""
-        sock = self._sock
-        if sock is None:
-            return
-        try:
-            sock.sendto(data, origin)
-        except OSError:  # pragma: no cover - origin unreachable
-            return
-        self.pushes_sent += 1
+        if self.sendto(data, origin):
+            self.pushes_sent += 1
 
     # -- rendezvous -----------------------------------------------------
 
-    def _announce(self) -> None:
-        self._send_control(
-            "announce",
-            {
-                "id": node_id_to_wire(self.worker_id),
-                "s": False,
-                "kind": "worker",
-            },
-        )
-
-    def _send_control(
-        self, op: str, body: Optional[Dict[str, Any]] = None
-    ) -> None:
-        """Fire-and-forget a control request to the rendezvous (the
-        response lands on our socket and is ignored)."""
+    def _send_control(self, op: str, **extra: Any) -> None:
+        """Fire-and-forget a control request about this worker to the
+        rendezvous (the response lands on our socket and is ignored)."""
         if self.rendezvous is None or self._sock is None:
             return
-        rid = self._next_rid
-        self._next_rid = rid + 1
-        if body is None:
-            body = {"id": node_id_to_wire(self.worker_id)}
-        try:
-            self._sock.sendto(
-                encode_frame(ctl_frame(rid, op, body)), self.rendezvous
-            )
-        except OSError:  # pragma: no cover - rendezvous unreachable
-            pass
-
-
-def run_worker_daemon(
-    listen: Address,
-    rendezvous: Optional[Address] = None,
-    announce_interval: float = DEFAULT_ANNOUNCE_INTERVAL,
-) -> int:
-    """Entry point for ``repro worker``: open, print the READY line,
-    serve until stopped."""
-    daemon = WorkerDaemon(
-        listen, rendezvous=rendezvous, announce_interval=announce_interval
-    )
-    daemon.open()
-    print(daemon.ready_line(), flush=True)
-    try:
-        daemon.serve()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        daemon.close()
-    return 0
+        self._next_rid += 1
+        body = {"id": node_id_to_wire(self.worker_id), **extra}
+        frame = ctl_frame(self._next_rid, op, body)
+        self.sendto(encode_frame(frame), self.rendezvous)
 
 
 __all__ = [
     "DEFAULT_ANNOUNCE_INTERVAL",
     "MAX_CACHED_RESULTS",
     "WorkerDaemon",
-    "run_worker_daemon",
 ]

@@ -47,7 +47,7 @@ from typing import Any, Dict, IO, List, Optional
 
 from repro.consistency.checker import check_consistency
 from repro.net.collect import TelemetryCollector, clock_table
-from repro.net.control import ControlClient
+from repro.net.control import ControlClient, parse_ready_line
 from repro.net.wire import (
     Address,
     format_hostport,
@@ -106,12 +106,8 @@ class _Proc:
         for line in stream:
             line = line.rstrip("\n")
             self.lines.append(line)
-            if line.startswith("REPRO-NET READY"):
-                fields = dict(
-                    part.split("=", 1)
-                    for part in line.split()
-                    if "=" in part
-                )
+            fields = parse_ready_line(line)
+            if fields is not None:
                 self.ready = fields
                 self._ready_event.set()
         self._ready_event.set()  # EOF: unblock waiters either way

@@ -1,4 +1,4 @@
-"""The control protocol's two ends: a blocking client, a sans-io server.
+"""The control protocol's two ends: a blocking client and the server side.
 
 The cluster harness, the CLI and the tests live *outside* any runtime
 loop; they need plain blocking request/response against node daemons
@@ -18,12 +18,19 @@ and :func:`serve_control_datagram` does the same from raw bytes,
 ignoring garbage.  A response that would not fit one datagram becomes
 ``{"error": "response too large"}`` rather than an exception in a
 serve loop or an asyncio callback.
+
+The two control-only servers, the rendezvous directory and the sweep
+worker, also share one blocking serve loop, :class:`ControlServer`.
+The node daemon keeps its asyncio transport: its control ops share a
+socket with protocol traffic.  Every daemon's startup line is one
+:func:`ready_line`, read back by :func:`parse_ready_line`.
 """
 
 from __future__ import annotations
 
 import collections
 import socket
+import threading
 import time
 from typing import Any, Callable, Deque, Dict, Iterator, Optional, Tuple
 
@@ -55,6 +62,26 @@ MALFORMED = (CodecError, KeyError, TypeError, ValueError)
 #: Unsolicited frames kept while nobody is in :meth:`ControlClient.wait`
 #: (oldest dropped first; every push has an idempotent poll behind it).
 MAX_INBOX = 256
+
+#: Socket poll granularity of :meth:`ControlServer.serve` (seconds).
+POLL_TIMEOUT = 0.2
+
+#: What every daemon's startup line begins with.
+READY_PREFIX = "REPRO-NET READY"
+
+
+def ready_line(kind: str, addr: Address, node_id: Any = None) -> str:
+    """``REPRO-NET READY kind=K [id=I] host=H port=P``: the startup
+    line supervisors wait for."""
+    node = "" if node_id is None else f" id={node_id}"
+    return f"{READY_PREFIX} kind={kind}{node} host={addr[0]} port={addr[1]}"
+
+
+def parse_ready_line(line: str) -> Optional[Dict[str, str]]:
+    """The fields of a :func:`ready_line`; ``None`` for other lines."""
+    if not line.startswith(READY_PREFIX):
+        return None
+    return dict(part.split("=", 1) for part in line.split() if "=" in part)
 
 
 def control_reply(
@@ -89,6 +116,92 @@ def serve_control_datagram(
         return control_reply(decode_frame(data), handle, addr)
     except MALFORMED:
         return None
+
+
+class ControlServer:
+    """A control-only UDP server around a subclass's ``handle(op,
+    body, addr)``: :meth:`serve` polls one socket every
+    :data:`POLL_TIMEOUT` seconds, calling :meth:`tick` as it starts
+    and after every poll, until :meth:`stop` or :meth:`close`."""
+
+    #: The ``kind=`` of the READY line.
+    kind = "server"
+
+    def __init__(self, listen: Address):
+        self.listen = listen
+        self._sock: Optional[socket.socket] = None
+        self._stop = threading.Event()
+
+    def open(self) -> Address:
+        """Bind the socket; returns the bound address."""
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._sock.bind(self.listen)
+        self._sock.settimeout(POLL_TIMEOUT)
+        self.listen = self._sock.getsockname()[:2]
+        return self.listen
+
+    def handler(self) -> ControlHandler:
+        """What :meth:`serve` dispatches each datagram to."""
+        return self.handle  # type: ignore[attr-defined]
+
+    def tick(self) -> None:
+        """Periodic work between polls (none by default)."""
+
+    def serve(self) -> None:
+        """Answer control requests until stopped."""
+        sock, handle = self._sock, self.handler()
+        assert sock is not None, "serve() before open()"
+        self.tick()
+        while not self._stop.is_set():
+            try:
+                data, (host, port) = sock.recvfrom(65535)
+            except socket.timeout:
+                pass
+            except OSError:
+                break  # socket closed under us (close() from another thread)
+            else:
+                reply = serve_control_datagram(data, handle, (host, port))
+                if reply is not None:
+                    self.sendto(reply, (host, port))
+            self.tick()
+
+    def sendto(self, data: bytes, addr: Address) -> bool:
+        """Fire-and-forget one datagram (threadsafe); ``False`` if unsent."""
+        sock = self._sock
+        if sock is None:
+            return False
+        try:
+            sock.sendto(data, addr)
+        except OSError:  # addr unreachable
+            return False
+        return True
+
+    def stop(self) -> None:
+        """Ask the serve loop to exit (threadsafe)."""
+        self._stop.set()
+
+    def close(self) -> None:
+        """Stop serving and release the socket."""
+        self.stop()
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    def ready_line(self) -> str:
+        """This server's :func:`ready_line`."""
+        return ready_line(self.kind, self.listen)
+
+    def run(self) -> int:
+        """The daemon: open, print the READY line, serve, close."""
+        self.open()
+        print(self.ready_line(), flush=True)
+        try:
+            self.serve()
+        except KeyboardInterrupt:  # pragma: no cover - interactive only
+            pass
+        finally:
+            self.close()
+        return 0
 
 
 class ControlError(RuntimeError):
@@ -196,8 +309,13 @@ __all__ = [
     "ControlClient",
     "ControlError",
     "ControlHandler",
+    "ControlServer",
     "MALFORMED",
     "MAX_INBOX",
+    "POLL_TIMEOUT",
+    "READY_PREFIX",
     "control_reply",
+    "parse_ready_line",
+    "ready_line",
     "serve_control_datagram",
 ]

@@ -50,6 +50,7 @@ import time
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.ids.idspace import IdSpace
+from repro.net.control import ready_line
 from repro.net.datagram import DatagramTransport
 from repro.net.faults import FaultPlan
 from repro.net.wire import (
@@ -221,11 +222,7 @@ class NodeDaemon:
 
     def ready_line(self) -> str:
         """The machine-readable startup line supervisors wait for."""
-        host, port = self.transport.local_addr
-        return (
-            f"REPRO-NET READY kind=node id={self.node_id} "
-            f"host={host} port={port}"
-        )
+        return ready_line("node", self.transport.local_addr, self.node_id)
 
     def run(self) -> int:
         """Drive the runtime until shutdown; returns the exit code."""

@@ -13,7 +13,9 @@ it dies (nodes already introduced to each other talk directly; only
 new resolutions stall).  State is soft -- refreshed by node heartbeats
 and expired by TTL -- so a restarted rendezvous repopulates itself.
 
-Wire format: the ``c``/``r`` control frames of :mod:`repro.net.wire`.
+Wire format: the ``c``/``r`` control frames of :mod:`repro.net.wire`,
+served by the :class:`~repro.net.control.ControlServer` loop the sweep
+worker also runs; this module holds only the op table and its state.
 
 =========  =======================================  ==================
 op         body                                     response
@@ -40,12 +42,11 @@ exactly as before.
 
 from __future__ import annotations
 
-import asyncio
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.ids.digits import NodeId
-from repro.net.control import serve_control_datagram
+from repro.net.control import ControlServer
 from repro.net.wire import Address, node_id_from_wire, node_id_to_wire
 
 #: Announcements older than this (seconds) are expired on read.
@@ -71,75 +72,21 @@ class _Registration:
         self.kind = kind
 
 
-class _RendezvousProtocol(asyncio.DatagramProtocol):
-    def __init__(self, owner: "RendezvousServer"):
-        self.owner = owner
+class RendezvousServer(ControlServer):
+    """The directory server: the control server's loop around
+    :meth:`handle`, which is unit-testable without a socket."""
 
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.owner._on_datagram(data, (addr[0], addr[1]))
-
-
-class RendezvousServer:
-    """The directory server.  Owns a private event loop; ``serve()``
-    blocks until a ``stop`` op arrives (or :meth:`stop` is called from
-    another thread, which is how in-process tests drive it)."""
+    kind = "rendezvous"
 
     def __init__(self, listen: Address, ttl: float = DEFAULT_TTL):
-        self.listen = listen
+        super().__init__(listen)
         self.ttl = ttl
         self.registrations: Dict[NodeId, _Registration] = {}
-        self.requests_served = 0
-        self._loop = asyncio.new_event_loop()
-        self._endpoint = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    def open(self) -> Address:
-        """Bind the socket; returns the bound address."""
-
-        async def _bind():
-            return await self._loop.create_datagram_endpoint(
-                lambda: _RendezvousProtocol(self), local_addr=self.listen
-            )
-
-        endpoint, _ = self._loop.run_until_complete(_bind())
-        self._endpoint = endpoint
-        sockname = endpoint.get_extra_info("sockname")
-        self.listen = (sockname[0], sockname[1])
-        return self.listen
-
-    def serve(self) -> None:
-        """Serve until stopped."""
-        self._loop.run_forever()
-
-    def stop(self) -> None:
-        """Stop serving (threadsafe)."""
-        self._loop.call_soon_threadsafe(self._loop.stop)
-
-    def close(self) -> None:
-        """Close the socket and release the private event loop."""
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
-        if not self._loop.is_closed():
-            # Let the endpoint's close callbacks run before releasing.
-            self._loop.call_soon(self._loop.stop)
-            self._loop.run_forever()
-            self._loop.close()
-
-    # -- request handling ----------------------------------------------
-
-    def _on_datagram(self, data: bytes, addr: Address) -> None:
-        reply = serve_control_datagram(data, self.handle, addr)
-        if reply is not None and self._endpoint is not None:
-            self._endpoint.sendto(reply, addr)
 
     def handle(
         self, op: str, body: Dict[str, Any], addr: Address
     ) -> Optional[Dict[str, Any]]:
-        """Process one control op; returns the response body.  Exposed
-        (and directly unit-testable) separately from the socket glue."""
-        self.requests_served += 1
+        """Process one control op; returns the response body."""
         if op == "announce":
             node_id = node_id_from_wire(body["id"])
             # The announcing socket's source address IS the node's
@@ -179,7 +126,7 @@ class RendezvousServer:
                 ]
             }
         if op == "stop":
-            self._loop.call_soon(self._loop.stop)
+            self.stop()
             return {"ok": True}
         return {"error": f"unknown op: {op}"}
 

@@ -4,13 +4,13 @@ The protocol stack (:mod:`repro.core`, :mod:`repro.protocol`,
 :mod:`repro.network`) never touches an event loop, a socket, or a
 clock directly; everything it needs from its execution environment is
 the small contract defined in :mod:`repro.runtime.interface` (a Clock,
-Timers, and -- for real-time runtimes -- a Mailbox).  Two adapters
+Timers, and -- for real-time runtimes -- a Mailbox).  Two runtimes
 implement that contract:
 
-* :class:`~repro.runtime.virtual.VirtualTimeRuntime` -- the
-  discrete-event simulator (:mod:`repro.sim`) behind the runtime
-  interface.  Deterministic, virtual-time, the substrate of every
-  experiment and golden trace.
+* :class:`~repro.sim.scheduler.Simulator` -- the discrete-event
+  simulator itself, which satisfies the runtime interface as it
+  stands (``name = "sim"``).  Deterministic, virtual-time, the
+  substrate of every experiment and golden trace.
 * :class:`~repro.runtime.realtime.AsyncioRuntime` -- wall-clock
   execution on an asyncio event loop: timers are ``call_later``
   deadlines, deliveries drain through a FIFO :class:`Mailbox` in a
@@ -41,16 +41,16 @@ def create_runtime(kind: str = "sim", **options) -> Runtime:
     """Build a runtime adapter by name.
 
     ``"sim"`` returns a fresh
-    :class:`~repro.runtime.virtual.VirtualTimeRuntime`; ``"asyncio"``
+    :class:`~repro.sim.scheduler.Simulator`; ``"asyncio"``
     returns an :class:`~repro.runtime.realtime.AsyncioRuntime` (keyword
     ``options`` such as ``time_scale`` are forwarded to the adapter).
     The adapter modules are imported on first use, keeping this package
     free of static :mod:`repro.sim` / :mod:`asyncio` dependencies.
     """
     if kind == "sim":
-        from repro.runtime.virtual import VirtualTimeRuntime
+        from repro.sim.scheduler import Simulator
 
-        return VirtualTimeRuntime(**options)
+        return Simulator(**options)
     if kind == "asyncio":
         from repro.runtime.realtime import AsyncioRuntime
 

@@ -98,11 +98,10 @@ class Timers(Protocol):
 class Runtime(Clock, Timers, Protocol):
     """The full contract: Clock + Timers + a drivable loop.
 
-    :class:`~repro.runtime.virtual.VirtualTimeRuntime` and
+    :class:`repro.sim.scheduler.Simulator` and
     :class:`~repro.runtime.realtime.AsyncioRuntime` both satisfy this
-    structurally; so does the bare :class:`repro.sim.scheduler.Simulator`
-    (minus the ``name`` tag), which is what keeps every pre-refactor
-    test constructing ``Transport(Simulator(), ...)`` working.
+    structurally, so ``Transport(Simulator(), ...)`` and
+    ``Transport(create_runtime("sim"), ...)`` are the same thing.
     """
 
     #: Short tag identifying the adapter ("sim", "asyncio").

@@ -32,7 +32,7 @@ from repro.experiments.parallel import (
     run_join_task,
     seeded_configs,
 )
-from repro.net.control import ControlClient
+from repro.net.control import ControlClient, parse_ready_line
 from repro.net.wire import ctl_frame, encode_frame
 from tests.exec.task_fns import (
     big_string,
@@ -465,10 +465,10 @@ class TestRemoteAcceptance:
             env=env,
             text=True,
         )
-        ready = proc.stdout.readline()
-        assert "REPRO-NET READY kind=worker" in ready, ready
-        port = int(ready.rsplit("port=", 1)[1].strip())
-        return proc, ("127.0.0.1", port)
+        line = proc.stdout.readline()
+        ready = parse_ready_line(line)
+        assert ready is not None and ready["kind"] == "worker", line
+        return proc, ("127.0.0.1", int(ready["port"]))
 
     def test_kill_dash_nine_mid_sweep_preserves_the_result(self):
         procs, addrs = [], []

@@ -2,16 +2,25 @@
 blocking client's deadline and unsolicited-frame paths."""
 
 import socket
+import subprocess
+import sys
 import threading
 import time
+import types
+from pathlib import Path
 
 import pytest
 
+from repro.exec.worker import WorkerDaemon
 from repro.ids.idspace import IdSpace
 from repro.net.control import (
+    POLL_TIMEOUT,
     ControlClient,
     ControlError,
+    ControlServer,
     control_reply,
+    parse_ready_line,
+    ready_line,
     serve_control_datagram,
 )
 from repro.net.rendezvous import RendezvousServer
@@ -24,6 +33,8 @@ from repro.net.wire import (
 )
 
 ADDR = ("127.0.0.1", 1)
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def echo(op, body, addr):
@@ -223,3 +234,115 @@ class TestUnsolicitedFrames:
             assert drained == ["n-6", "n-7", "n-8", "n-9"]
         finally:
             peer.close()
+
+
+class Echo(ControlServer):
+    """Answers every op with its name; the ``stop`` op stops."""
+
+    kind = "echo"
+
+    def handle(self, op, body, addr):
+        if op == "stop":
+            self.stop()
+        return {"op": op}
+
+
+def serving(server):
+    """Open ``server`` and run its serve loop on a thread."""
+    server.open()
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestReadyLine:
+    def test_formats_round_trip_through_the_parser(self):
+        line = ready_line("worker", ("127.0.0.1", 7001), "de83fa11")
+        assert line == (
+            "REPRO-NET READY kind=worker id=de83fa11 host=127.0.0.1 port=7001"
+        )
+        assert parse_ready_line(line) == {
+            "kind": "worker", "id": "de83fa11",
+            "host": "127.0.0.1", "port": "7001",
+        }
+        assert ready_line("rendezvous", ("h", 9)) == (
+            "REPRO-NET READY kind=rendezvous host=h port=9"
+        )
+
+    def test_other_lines_parse_to_none(self):
+        assert parse_ready_line("starting up: kind=worker") is None
+
+
+class TestControlServer:
+    def test_control_only_servers_load_no_asyncio(self):
+        """The rendezvous used to run a private asyncio loop."""
+        code = (
+            "import sys; import repro.net.rendezvous, repro.exec.worker; "
+            "assert 'asyncio' not in sys.modules"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(SRC)},
+        )
+
+    def test_stop_op_answered_from_handle_ends_serve(self):
+        server = Echo(("127.0.0.1", 0))
+        thread = serving(server)
+        try:
+            with ControlClient(timeout=1.0, retries=2) as client:
+                assert client.request(server.listen, "stop") == {"op": "stop"}
+            thread.join(timeout=1.0)
+            assert not thread.is_alive()
+        finally:
+            server.close()
+            thread.join(timeout=2.0)
+
+    def test_garbage_is_dropped_and_the_loop_keeps_answering(self):
+        server = Echo(("127.0.0.1", 0))
+        thread = serving(server)
+        try:
+            with ControlClient(timeout=1.0, retries=0) as client:
+                for data in (b"garbage", b'{"k":"c","r":1}', b"[" * 30000):
+                    client._sock.sendto(data, server.listen)
+                assert client.request(server.listen, "ping") == {"op": "ping"}
+            assert thread.is_alive()
+        finally:
+            server.close()
+            thread.join(timeout=2.0)
+
+    def test_close_from_another_thread_ends_serve(self):
+        server = Echo(("127.0.0.1", 0))
+        thread = serving(server)
+        server.close()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
+
+    def test_worker_announces_within_one_poll_of_serving(
+        self, monkeypatch
+    ):
+        """A fresh worker heartbeats at once, not after its interval,
+        even on a host whose monotonic clock reads 1 s (soon after
+        boot)."""
+        monkeypatch.setattr(
+            "repro.exec.worker.time", types.SimpleNamespace(monotonic=lambda: 1.0)
+        )
+        directory = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        directory.bind(("127.0.0.1", 0))
+        directory.settimeout(POLL_TIMEOUT * 5)
+        worker = WorkerDaemon(
+            ("127.0.0.1", 0),
+            rendezvous=directory.getsockname()[:2],
+            announce_interval=60.0,
+        )
+        started = time.monotonic()
+        thread = serving(worker)
+        try:
+            frame = decode_frame(directory.recvfrom(65535)[0])
+            assert time.monotonic() - started < POLL_TIMEOUT * 2
+            assert frame["op"] == "announce"
+            assert frame["b"]["kind"] == "worker"
+        finally:
+            worker.close()
+            thread.join(timeout=2.0)
+            directory.close()
