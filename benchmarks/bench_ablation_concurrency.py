@@ -17,7 +17,7 @@ def run_concurrent_workload():
     net = fresh_network(space, initial, seed=17)
     run_concurrent(net, joiners)
     assert net.check_consistency().consistent
-    return net.simulator.now
+    return net.runtime.now
 
 
 def run_serialized_workload():

@@ -38,7 +38,7 @@ def run_baseline_sequential():
         seed=PARAMS["seed"],
     )
     for joiner in joiners:
-        net.start_join(joiner, at=net.simulator.now)
+        net.start_join(joiner, at=net.runtime.now)
         net.run()
     return net, len(joiners)
 

@@ -121,7 +121,7 @@ def test_core_speed_gates():
     assert net.all_in_system()
 
     best_s = min(times)
-    events = net.simulator.events_fired
+    events = net.runtime.events_fired
     events_per_sec = events / best_s
     events_ratio = events_per_sec / REFERENCE_EVENTS_PER_SEC
     record["hot_path"] = {

@@ -36,7 +36,7 @@ def run_protocol(concurrent: bool):
         space, initial, latency_model=latency(1), seed=SEED
     )
     for joiner in joiners:
-        net.start_join(joiner, at=0.0 if concurrent else net.simulator.now)
+        net.start_join(joiner, at=0.0 if concurrent else net.runtime.now)
         if not concurrent:
             net.run()
     net.run()
@@ -54,7 +54,7 @@ def run_baseline(concurrent: bool):
         space, initial, latency_model=latency(1), seed=SEED
     )
     for joiner in joiners:
-        net.start_join(joiner, at=0.0 if concurrent else net.simulator.now)
+        net.start_join(joiner, at=0.0 if concurrent else net.runtime.now)
         if not concurrent:
             net.run()
     net.run()

@@ -48,7 +48,7 @@ def main() -> None:
     show(net, "bootstrap (oracle, n=200)")
 
     # 2. sixty concurrent joins
-    workload.start_all_joins(at=net.simulator.now)
+    workload.start_all_joins(at=net.runtime.now)
     net.run()
     assert net.all_in_system()
     show(net, "after 60 concurrent joins")

@@ -27,8 +27,8 @@ Quickstart::
 
 # Re-exports resolve lazily (PEP 562) so that importing any submodule
 # -- which executes this package __init__ -- never drags in the rest
-# of the library.  In particular the sans-io core (repro.core,
-# repro.protocol) must be importable without repro.sim or asyncio
+# of the library.  In particular the sans-io protocol core
+# (repro.protocol) must be importable without repro.sim or asyncio
 # appearing in sys.modules; tests/test_architecture.py enforces this.
 _EXPORTS = {
     "expected_join_noti": "repro.analysis",

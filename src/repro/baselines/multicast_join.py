@@ -383,11 +383,6 @@ class MulticastJoinNetwork:
         self.joiner_ids.append(node_id)
         self.runtime.schedule_at(at, node.begin_join, gateway)
 
-    @property
-    def simulator(self):
-        """Alias for :attr:`runtime` (historical name)."""
-        return self.runtime
-
     def run(self, max_events: Optional[int] = None) -> int:
         """Run to quiescence (or the event cap)."""
         return self.runtime.run(max_events=max_events)

@@ -274,6 +274,27 @@ class _ClusterHarness:
                 )
             time.sleep(POLL_INTERVAL)
 
+    def _await_wire_drained(self, timeout: float) -> None:
+        """Wait until no daemon has an unacknowledged send on two
+        polls in a row: a message still being retransmitted (say the
+        ``InSysNotiMsg`` that turns a T entry into S) would otherwise
+        land after the tables are read."""
+        deadline = time.monotonic() + timeout
+        quiet = 0
+        while quiet < 2:
+            time.sleep(POLL_INTERVAL)
+            busy = [
+                proc.name
+                for proc, status in zip(self.daemons, self._statuses())
+                if (status or {}).get("wire", {}).get("unacked", 1)
+            ]
+            quiet = 0 if busy else quiet + 1
+            if busy and time.monotonic() > deadline:
+                raise ClusterError(
+                    f"wire did not drain within {timeout}s; unacked "
+                    f"sends at: {', '.join(busy)}"
+                )
+
     # -- verification ---------------------------------------------------
 
     def _collect_tables(self):
@@ -368,7 +389,8 @@ class _ClusterHarness:
             f"{join_seconds:.2f}s"
         )
 
-        # Verification over live tables.
+        # Verification over live tables, once nothing is in flight.
+        self._await_wire_drained(config.converge_timeout)
         tables, statuses = self._collect_tables()
         report_obj = check_consistency(tables)
         statuses_all = self._statuses()

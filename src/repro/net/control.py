@@ -29,6 +29,7 @@ socket with protocol traffic.  Every daemon's startup line is one
 from __future__ import annotations
 
 import collections
+import signal
 import socket
 import threading
 import time
@@ -192,7 +193,12 @@ class ControlServer:
         return ready_line(self.kind, self.listen)
 
     def run(self) -> int:
-        """The daemon: open, print the READY line, serve, close."""
+        """The daemon: open, print the READY line, serve, close.  On
+        the main thread SIGTERM stops the loop as :meth:`stop` does,
+        so a ``kill``ed daemon still closes."""
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            previous = signal.signal(signal.SIGTERM, lambda *_: self.stop())
         self.open()
         print(self.ready_line(), flush=True)
         try:
@@ -201,6 +207,8 @@ class ControlServer:
             pass
         finally:
             self.close()
+            if on_main:
+                signal.signal(signal.SIGTERM, previous)
         return 0
 
 

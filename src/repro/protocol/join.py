@@ -145,11 +145,6 @@ class JoinProtocolNetwork:
         if self._owns_runtime:
             self.runtime.clear()
 
-    @property
-    def simulator(self) -> Runtime:
-        """Alias for :attr:`runtime` (historical name)."""
-        return self.runtime
-
     # ------------------------------------------------------------------
     # construction
 

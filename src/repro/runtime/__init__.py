@@ -1,11 +1,11 @@
 """Pluggable execution runtimes for the sans-io protocol core.
 
-The protocol stack (:mod:`repro.core`, :mod:`repro.protocol`,
-:mod:`repro.network`) never touches an event loop, a socket, or a
-clock directly; everything it needs from its execution environment is
-the small contract defined in :mod:`repro.runtime.interface` (a Clock,
-Timers, and -- for real-time runtimes -- a Mailbox).  Two runtimes
-implement that contract:
+The protocol stack (:mod:`repro.protocol`, :mod:`repro.network`)
+never touches an event loop, a socket, or a clock directly; everything
+it needs from its execution environment is the small contract defined
+in :mod:`repro.runtime.interface` (a Clock, Timers, and -- for
+real-time runtimes -- a Mailbox).  Two runtimes implement that
+contract:
 
 * :class:`~repro.sim.scheduler.Simulator` -- the discrete-event
   simulator itself, which satisfies the runtime interface as it

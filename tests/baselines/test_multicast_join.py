@@ -29,9 +29,9 @@ class TestSequentialMulticastJoin:
     def test_consistent_after_sequential_joins(self, seed):
         net, initial, joiners = make_baseline(seed=seed)
         for joiner in joiners:
-            net.start_join(joiner, at=net.simulator.now)
+            net.start_join(joiner, at=net.runtime.now)
             net.run(max_events=MAX_EVENTS)
-        assert net.simulator.quiesced()
+        assert net.runtime.quiesced()
         assert net.all_joined()
         report = net.check_consistency()
         assert report.consistent, report.violations[:3]
@@ -41,7 +41,7 @@ class TestSequentialMulticastJoin:
         nodes store per-joiner state during the join."""
         net, initial, joiners = make_baseline(seed=10)
         for joiner in joiners:
-            net.start_join(joiner, at=net.simulator.now)
+            net.start_join(joiner, at=net.runtime.now)
             net.run(max_events=MAX_EVENTS)
         holders = sum(
             net.mstats.holders_for(j) for j in net.joiner_ids
@@ -52,7 +52,7 @@ class TestSequentialMulticastJoin:
     def test_pending_state_drains(self):
         net, initial, joiners = make_baseline(seed=11)
         for joiner in joiners:
-            net.start_join(joiner, at=net.simulator.now)
+            net.start_join(joiner, at=net.runtime.now)
             net.run(max_events=MAX_EVENTS)
         for node in net.nodes.values():
             assert node.pending == {}
@@ -86,5 +86,5 @@ class TestConcurrentMulticastJoin:
         for joiner in joiners:
             net.start_join(joiner, at=0.0)
         net.run(max_events=MAX_EVENTS)
-        assert net.simulator.quiesced()
+        assert net.runtime.quiesced()
         assert net.all_joined()

@@ -10,7 +10,7 @@ class TestSequentialGate:
         space, ids = make_ids(4, 4, 25, seed=0)
         net = build_network(space, ids[:20], seed=0)
         finished_at = join_sequentially(net, ids[20:], gap=1.0)
-        assert finished_at == net.simulator.now
+        assert finished_at == net.runtime.now
         assert finished_at > 0
         assert_network_correct(net)
 
@@ -27,7 +27,7 @@ class TestSequentialGate:
             concurrent.start_join(joiner, at=0.0)
         concurrent.run()
         assert_network_correct(concurrent)
-        concurrent_time = concurrent.simulator.now
+        concurrent_time = concurrent.runtime.now
 
         assert concurrent_time < serial_time
 

@@ -56,11 +56,11 @@ def run_joins(
     quiescence, asserting the watchdog is not hit."""
     if start_times is None:
         start_times = [0.0] * len(joiners)
-    base = network.simulator.now
+    base = network.runtime.now
     for joiner, at in zip(joiners, start_times):
         network.start_join(joiner, at=base + at)
     network.run(max_events=MAX_EVENTS)
-    assert network.simulator.quiesced(), "simulation hit the event watchdog"
+    assert network.runtime.quiesced(), "simulation hit the event watchdog"
     return network
 
 

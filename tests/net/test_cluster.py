@@ -6,13 +6,91 @@ subprocesses -- the same path the CI ``cluster-smoke`` job and the
 suite (a few seconds each).
 """
 
+import random
+
 import pytest
 
-from repro.net.cluster import ClusterConfig, run_cluster
+from repro.ids.idspace import IdSpace
+from repro.net.cluster import (
+    ClusterConfig,
+    ClusterError,
+    _ClusterHarness,
+    run_cluster,
+)
+from repro.net.wire import node_id_to_wire, table_to_wire
+from repro.routing import build_consistent_tables
 
 
 def quiet(_message):
     """Swallow harness progress lines in test output."""
+
+
+class FakeProc:
+    def __init__(self, name, port):
+        self.name = name
+        self.addr = ("127.0.0.1", port)
+
+
+class ScriptedClient:
+    """Answers ``status`` and ``table`` for three in-system daemons;
+    the first ``unacked_polls`` status answers report one unacked
+    send.  ``log`` records each answer in order."""
+
+    def __init__(self, unacked_polls):
+        ids = IdSpace(4, 4).random_unique_ids(3, random.Random(1))
+        self.tables = build_consistent_tables(ids)
+        self.ids = {("127.0.0.1", 7000 + i): nid for i, nid in enumerate(ids)}
+        self.unacked_polls = unacked_polls
+        self.log = []
+
+    def try_request(self, addr, op, body=None, timeout=None):
+        node_id = self.ids[addr]
+        wire_id = node_id_to_wire(node_id)
+        if op == "table":
+            self.log.append("table")
+            table = table_to_wire(self.tables[node_id])
+            return {"id": wire_id, "status": "in_system", "table": table}
+        unacked = int(self.unacked_polls > 0)
+        self.unacked_polls -= 1
+        self.log.append(f"unacked={unacked}")
+        return {"id": wire_id, "status": "in_system", "net": {},
+                "theorem3": 1, "wire": {"unacked": unacked}}
+
+
+def scripted_harness(monkeypatch, client, converge_timeout=5.0):
+    config = ClusterConfig(nodes=3, joins=1, converge_timeout=converge_timeout)
+    harness = _ClusterHarness(config, quiet)
+    harness.client.close()
+    harness.client = client
+    monkeypatch.setattr(
+        harness, "_spawn_rendezvous", lambda: FakeProc("rendezvous", 9000)
+    )
+
+    def spawn(name, seed_node=False):
+        proc = FakeProc(name, 7000 + len(harness.daemons))
+        harness.daemons.append(proc)
+        return proc
+
+    monkeypatch.setattr(harness, "_spawn_node", spawn)
+    return harness
+
+
+class TestWireDrain:
+    def test_tables_are_pulled_only_after_the_wire_drains(self, monkeypatch):
+        # Three in-system polls, then two more that still see an
+        # unacked (retransmitting) send before the wire goes quiet.
+        client = ScriptedClient(unacked_polls=5)
+        report = scripted_harness(monkeypatch, client).run()
+        before = client.log[:client.log.index("table")]
+        assert before[-6:] == ["unacked=0"] * 6  # two quiet rounds
+        assert report["ok"], report
+
+    def test_a_wire_that_never_drains_names_the_daemons(self, monkeypatch):
+        client = ScriptedClient(unacked_polls=10**9)
+        harness = scripted_harness(monkeypatch, client, converge_timeout=0.3)
+        with pytest.raises(ClusterError, match="node-0, node-1, node-2"):
+            harness.run()
+        assert "table" not in client.log
 
 
 class TestClusterConfig:

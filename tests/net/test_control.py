@@ -1,6 +1,7 @@
 """Control-protocol tests: the shared sans-io server helper and the
 blocking client's deadline and unsolicited-frame paths."""
 
+import signal
 import socket
 import subprocess
 import sys
@@ -346,3 +347,51 @@ class TestControlServer:
             worker.close()
             thread.join(timeout=2.0)
             directory.close()
+
+
+def spawn_daemon(*args):
+    """Start ``python -m repro ARGS``; returns it and its READY fields."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    return proc, parse_ready_line(proc.stdout.readline())
+
+
+class TestSigterm:
+    def test_killed_worker_leaves_the_directory_and_exits_0(self):
+        rendezvous, fields = spawn_daemon(
+            "rendezvous", "--listen", "127.0.0.1:0"
+        )
+        directory = (fields["host"], int(fields["port"]))
+        worker = None
+        try:
+            worker, fields = spawn_daemon(
+                "worker", "--listen", "127.0.0.1:0",
+                "--rendezvous", f"{directory[0]}:{directory[1]}",
+            )
+            worker_addr = [fields["host"], int(fields["port"])]
+
+            def listed():
+                with ControlClient(timeout=0.5, retries=4) as client:
+                    rows = client.request(directory, "directory")["nodes"]
+                return worker_addr in [row[1] for row in rows]
+
+            deadline = time.monotonic() + 5.0
+            while not listed() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert listed()
+            worker.send_signal(signal.SIGTERM)
+            killed = time.monotonic()
+            while listed() and time.monotonic() - killed < 1.0:
+                time.sleep(0.05)
+            assert not listed()
+            assert worker.wait(timeout=5.0) == 0
+        finally:
+            for proc in (worker, rendezvous):
+                if proc is not None:
+                    proc.kill()
+                    proc.wait()
+                    proc.stdout.close()

@@ -34,7 +34,7 @@ def run_audited(fault=False, heartbeat_until=None, config=None):
         net.transport.drop_filter = drop_first_join_noti
     if heartbeat_until is not None:
         for tick in range(0, heartbeat_until + 1, 50):
-            net.simulator.schedule_at(float(tick), lambda: None)
+            net.runtime.schedule_at(float(tick), lambda: None)
     workload.start_all_joins()
     workload.run()
     return net, auditor, dropped
@@ -109,7 +109,7 @@ class TestFaultInjectedRun:
         stalls = [i for i in report.incidents if i.kind == "stall"]
         assert stalls, "lost JoinNotiMsg should wedge the joiner"
         # Flagged before the simulation went quiescent, not post hoc.
-        assert stalls[0].time < net.simulator.now
+        assert stalls[0].time < net.runtime.now
         assert "0213" in stalls[0].detail
 
     def test_inconsistency_flagged_mid_run(self):
@@ -119,7 +119,7 @@ class TestFaultInjectedRun:
             i for i in report.incidents if i.kind == "consistency"
         ]
         assert mid_run, "missing table entry should surface mid-run"
-        assert mid_run[0].time < net.simulator.now
+        assert mid_run[0].time < net.runtime.now
         # The flagged violation is the dropped edge itself: the
         # notified node never installed the joiner.
         receiver = dropped[0][1]

@@ -177,7 +177,7 @@ class TestDisabledPath:
     def test_uninstrumented_network_unchanged(self):
         net = run_instrumented(None)
         assert net.obs is None
-        assert net.simulator.on_event_fired is None
+        assert net.runtime.on_event_fired is None
         with pytest.raises(ValueError):
             net.collect_final_metrics()
 
@@ -187,7 +187,7 @@ class TestSchedulerAndTables:
         obs = Observability.metrics_only()
         net = run_instrumented(obs)
         assert obs.metrics.value("sim_events_fired") == (
-            net.simulator.events_fired
+            net.runtime.events_fired
         )
         hist = obs.metrics.histogram("sim_queue_depth_sampled")
         assert hist.count >= 1

@@ -86,7 +86,7 @@ def test_consistency_survives_churn(script):
                 net.start_join(
                     joiner,
                     gateway=rng.choice(members),
-                    at=net.simulator.now,
+                    at=net.runtime.now,
                 )
             net.run(max_events=2_000_000)
         elif phase == "leave":
@@ -113,7 +113,7 @@ def test_consistency_survives_churn(script):
                 kinds = net.check_consistency().by_kind()
                 assert set(kinds) <= {"false_negative"}, kinds
                 break  # downstream phases would inherit the partition
-        assert net.simulator.quiesced()
+        assert net.runtime.quiesced()
         report = net.check_consistency()
         assert report.consistent, (
             phase,

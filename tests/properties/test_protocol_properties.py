@@ -70,7 +70,7 @@ def run_scenario(space, n_initial, n_joiners, seed, starts, sizing):
     for joiner, at in zip(joiners, starts):
         net.start_join(joiner, at=at)
     net.run(max_events=MAX_EVENTS)
-    assert net.simulator.quiesced(), "event watchdog hit"
+    assert net.runtime.quiesced(), "event watchdog hit"
     return net, initial, joiners
 
 

@@ -53,7 +53,7 @@ def run_workload(latency_model, seed=0):
     for joiner in ids[20:]:
         net.start_join(joiner, at=0.0)
     net.run(max_events=MAX_EVENTS)
-    assert net.simulator.quiesced()
+    assert net.runtime.quiesced()
     return net
 
 

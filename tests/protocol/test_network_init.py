@@ -44,7 +44,7 @@ class TestInitializeNetwork:
         net = make_net(space, seed=1)
         initialize_network(net, ids, stagger=0.0)
         net.run(max_events=MAX_EVENTS)
-        assert net.simulator.quiesced()
+        assert net.runtime.quiesced()
         assert_network_correct(net)
 
     def test_staggered_bootstrap(self):

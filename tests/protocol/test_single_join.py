@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.consistency.verifier import verify_reachability
+from repro.protocol.messages import CpRstMsg
 from repro.protocol.status import NodeStatus
 from repro.routing.entry import NeighborState
 
@@ -40,6 +41,22 @@ class TestSingleJoin:
         assert joiner_node.join_began_at == 0.0
         assert joiner_node.became_s_at is not None
         assert joiner_node.became_s_at > 0.0
+
+    def test_first_send_is_one_cprst_to_the_gateway(self, monkeypatch):
+        space, ids = make_ids(4, 4, 11, seed=2)
+        net = build_network(space, ids[:10], seed=2)
+        sent = []
+        send = net.transport.send
+        monkeypatch.setattr(
+            net.transport, "send",
+            lambda dst, msg: (sent.append((dst, msg)), send(dst, msg)),
+        )
+        net.start_join(ids[10], gateway=ids[0], at=0.0)
+        net.run(max_events=1)  # the begin-join timer only
+        assert [(dst, type(msg)) for dst, msg in sent] == [
+            (ids[0], CpRstMsg)
+        ]
+        assert sent[0][1].sender == ids[10]
 
     def test_join_into_network_with_close_id(self):
         """Joiner sharing a long suffix with an existing node."""

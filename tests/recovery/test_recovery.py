@@ -106,7 +106,7 @@ class TestRecovery:
         joiners = idspace.random_unique_ids(5, rng, exclude=ids)
         for joiner in joiners:
             net.start_join(
-                joiner, gateway=next(iter(net.nodes)), at=net.simulator.now
+                joiner, gateway=next(iter(net.nodes)), at=net.runtime.now
             )
         net.run()
         assert net.all_in_system()

@@ -22,6 +22,7 @@ class TestCancelBeforeFire:
         # (a leaked timer would show up as a pending event).
         net.run(max_events=MAX_EVENTS)
         assert net.runtime.quiesced()
+        assert net.runtime.now < 10_000.0  # the timeout never fired
         assert node.suspected_positions == set()
 
     def test_cancel_is_idempotent(self):
@@ -54,6 +55,45 @@ class TestCancelBeforeFire:
         node.begin_failure_detection(timeout=10_000.0)
         net.run(max_events=MAX_EVENTS)
         assert node.suspected_positions == expected
+
+
+class TestSweepTargets:
+    def test_sweep_pings_every_forward_and_reverse_neighbor(
+        self, monkeypatch
+    ):
+        net, ids = _network(seed=7)
+        node = net.nodes[ids[0]]
+        pinged, sent = [], []
+        for name, log in (("send_lossy", pinged), ("send", sent)):
+            method = getattr(net.transport, name)
+            monkeypatch.setattr(
+                net.transport, name,
+                lambda dst, msg, method=method, log=log: (
+                    log.append(dst) or method(dst, msg)
+                ),
+            )
+        node.begin_failure_detection(timeout=10_000.0)
+        expected = (
+            node.table.distinct_neighbors()
+            | node.table.all_reverse_neighbors()
+        ) - {node.node_id}
+        assert expected and sorted(pinged) == sorted(expected)
+        assert sent == pinged  # every probe went out lossily
+
+    def test_unanswered_sweep_suspects_every_neighbor(self):
+        net, ids = _network(seed=8)
+        node = net.nodes[ids[0]]
+        neighbors = node.table.distinct_neighbors() - {node.node_id}
+        expected = {
+            position
+            for neighbor in neighbors
+            for position in node.table.positions_of(neighbor)
+        }
+        reverse = node.table.all_reverse_neighbors() - {node.node_id}
+        fail_nodes(net, neighbors | reverse)
+        node.begin_failure_detection(timeout=10_000.0)
+        net.run(max_events=MAX_EVENTS)
+        assert expected and node.suspected_positions == expected
 
 
 class TestFireAfterPeerDeath:

@@ -1,9 +1,9 @@
 """Architecture lint: the protocol core must stay sans-io.
 
-The refactor's load-bearing guarantee is that :mod:`repro.core` and
-:mod:`repro.protocol` contain pure protocol logic -- runnable under the
-virtual-time simulator, the asyncio runtime, or the effect interpreter
-alike -- which holds only if neither can reach :mod:`repro.sim` (or
+The refactor's load-bearing guarantee is that :mod:`repro.protocol`
+contains pure protocol logic -- runnable under the virtual-time
+simulator, the asyncio runtime, or a test's own transport stub alike --
+which holds only if it cannot reach :mod:`repro.sim` (or
 :mod:`asyncio`) through module-level imports.  This test walks the
 import graph statically (AST, so nothing needs importing to check) and
 fails on any path from a protected root into a forbidden module.
@@ -25,7 +25,7 @@ from typing import Dict, Iterator, Optional, Set
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: Packages whose import closure must stay clean.
-PROTECTED_ROOTS = ("repro.core", "repro.protocol")
+PROTECTED_ROOTS = ("repro.protocol",)
 
 #: Module prefixes the closure must not touch.
 FORBIDDEN = ("repro.sim", "asyncio")
@@ -149,7 +149,6 @@ class TestSansIoCore:
         """Guard the lint itself: the walk must actually see the core."""
         closure = import_closure(PROTECTED_ROOTS)
         for expected in (
-            "repro.core.machine",
             "repro.protocol.node",
             "repro.network.transport",
             "repro.runtime.interface",
@@ -160,7 +159,7 @@ class TestSansIoCore:
         """Runtime confirmation of the static lint: importing the pure
         core in a fresh interpreter must not pull in repro.sim."""
         code = (
-            "import sys; import repro.core.machine; "
+            "import sys; import repro.protocol.node; "
             "bad = [m for m in sys.modules if m.startswith('repro.sim')]; "
             "assert not bad, bad"
         )
@@ -171,16 +170,24 @@ class TestSansIoCore:
         )
 
     def test_transport_simulator_shim_removed(self):
-        """The PR-4 ``transport.simulator`` deprecation shim lasted its
-        promised one release and is gone; ``runtime`` is the only
-        spelling."""
+        """``runtime`` is the only spelling: neither the transport nor
+        either network driver keeps a ``simulator`` alias for it."""
+        from repro.baselines.multicast_join import MulticastJoinNetwork
+        from repro.ids.idspace import IdSpace
         from repro.network.transport import Transport
+        from repro.protocol.join import JoinProtocolNetwork
         from repro.runtime import create_runtime
         from repro.topology.attachment import ConstantLatencyModel
 
         transport = Transport(create_runtime("sim"), ConstantLatencyModel())
         assert not hasattr(transport, "simulator")
         assert transport.runtime is not None
+        space = IdSpace(4, 3)
+        ids = [space.from_string(text) for text in ("000", "111")]
+        for cls in (JoinProtocolNetwork, MulticastJoinNetwork):
+            net = cls.from_oracle(space, ids)
+            assert not hasattr(net, "simulator"), cls.__name__
+            assert net.runtime is not None
 
 
 class TestOneControlServer:

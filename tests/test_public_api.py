@@ -13,11 +13,6 @@ class TestTopLevelApi:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
-    def test_core_exports_resolve(self):
-        core = importlib.import_module("repro.core")
-        for name in core.__all__:
-            assert hasattr(core, name), name
-
     def test_subpackage_exports_resolve(self):
         for module_name in (
             "repro.ids",
