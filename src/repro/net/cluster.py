@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -46,6 +47,7 @@ import time
 from typing import Any, Dict, IO, List, Optional
 
 from repro.consistency.checker import check_consistency
+from repro.ids.idspace import IdSpace
 from repro.net.collect import TelemetryCollector, clock_table
 from repro.net.control import ControlClient, parse_ready_line
 from repro.net.wire import (
@@ -195,6 +197,12 @@ class _ClusterHarness:
         self.rendezvous: Optional[_Proc] = None
         self.daemons: List[_Proc] = []
         self.client = ControlClient(timeout=0.5, retries=6)
+        # Every daemon gets its own ``--id``: ids hashed from addresses
+        # collide (8 daemons in 256 ids do ~10 % of the time), and two
+        # daemons on one id stall a join.
+        self.ids = IdSpace(config.base, config.num_digits).random_unique_ids(
+            config.nodes, random.Random(config.fault_seed)
+        )
         self.started_at = time.monotonic()
         if config.telemetry_dir:
             os.makedirs(config.telemetry_dir, exist_ok=True)
@@ -219,6 +227,7 @@ class _ClusterHarness:
             "--base", str(config.base),
             "--num-digits", str(config.num_digits),
             "--time-scale", str(config.time_scale),
+            "--id", str(self.ids[len(self.daemons)]),
         ]
         if seed_node:
             argv.append("--seed-node")

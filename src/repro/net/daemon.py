@@ -421,22 +421,17 @@ class NodeDaemon:
     def _status_body(self) -> Dict[str, Any]:
         node = self.node
         stats = self.transport.stats
-        counters = dict(self.transport.counters)
         body: Dict[str, Any] = {
             "id": node_id_to_wire(self.node_id),
             "now": self.runtime.now,
             "events": self.runtime.events_fired,
-            "net": counters,
-            # The wire ledger a harness asserts against (e.g. "a clean
-            # wire retransmits nothing"): protocol messages sent vs
-            # wire-level retransmissions/dedups/acks, and what is still
-            # awaiting an ack right now.
+            "net": dict(self.transport.counters),
+            # The protocol's view of the wire (dedups, acks and
+            # give-ups are in ``net``): messages sent vs retransmitted,
+            # and what still awaits an ack right now.
             "wire": {
                 "sent": stats.total_messages,
                 "retransmitted": stats.total_retransmitted,
-                "deduped": counters.get("duplicates_suppressed", 0),
-                "acked": counters.get("acks_received", 0),
-                "gave_up": counters.get("gave_up", 0),
                 "unacked": self.transport.unacked_count,
             },
             "peers_known": len(self.transport.peers),

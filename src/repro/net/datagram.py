@@ -38,29 +38,27 @@ protocol handlers directly; they schedule delivery through the
 :class:`~repro.runtime.realtime.AsyncioRuntime` mailbox, serialized
 with every timer the protocol arms.
 
-Observability mirrors the in-memory transport when a live
-:class:`~repro.obs.tracer.Tracer` is attached: every protocol send is
-causally stamped (``msg_id``/``parent_id``/``trace_id``), the ids
-cross the wire inside the message envelope, and delivery re-installs
-the received message as the causal parent of everything its handler
-sends -- so a :class:`~repro.obs.causality.CausalForest` built from
+With a live :class:`~repro.obs.tracer.Tracer` the transport writes
+the in-memory transport's trace (:class:`~repro.network.transport.
+TransportBase`): the causal ids cross the wire inside the message
+envelope, so a :class:`~repro.obs.causality.CausalForest` built from
 the *merged* traces of many daemons reconstructs the same join trees
-the simulator produces.  Ids are ``"<node-id>#<counter>"`` strings
-(zero-padded), unique across a cluster without coordination.  An
-optional :class:`~repro.obs.metrics.MetricsRegistry` additionally
-collects what only a real wire can show: per-peer ack RTT (first
-transmissions only -- Karn's rule), retransmit and dedup counts, the
-unacked-queue depth, and rendezvous resolve latency.
+the simulator produces.  An optional
+:class:`~repro.obs.metrics.MetricsRegistry` additionally collects what
+only a real wire can show: per-peer ack RTT (first transmissions only
+-- Karn's rule), rendezvous resolve latency, and ``net_*`` readings of
+:attr:`DatagramTransport.counters` published when the registry is read.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.ids.digits import NodeId
 from repro.network.message import Message
 from repro.network.stats import MessageStats
+from repro.network.transport import TransportBase
 from repro.net.control import MALFORMED, control_reply
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.wire import (
@@ -77,7 +75,7 @@ from repro.net.wire import (
     msg_frame,
     node_id_to_wire,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.runtime.realtime import AsyncioRuntime
 
@@ -86,6 +84,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Per-sender duplicate-suppression window (sequence numbers kept).
 DEDUP_WINDOW = 4096
+
+# Retry policy, in protocol time units (scaled by the runtime's
+# ``time_scale``, so it behaves the same at any wall-clock scale).
+#: First retransmission timeout; doubles per retry, capped at 8x.
+RETRANSMIT_TIMEOUT = 40.0
+#: Retransmissions before a protocol datagram is given up.
+MAX_RETRIES = 10
+#: Control-request timeout (fixed, no backoff) and its retries.
+CONTROL_TIMEOUT = 60.0
+MAX_CONTROL_RETRIES = 5
+#: Pause between rendezvous ``resolve`` attempts, and their number.
+RESOLVE_RETRY_DELAY = 50.0
+MAX_RESOLVE_ATTEMPTS = 12
+
+#: ``net_*`` metric -> the :attr:`DatagramTransport.counters` key it reads.
+COUNTER_METRICS = (
+    ("net_retransmits", "retransmits"),
+    ("net_dedup_hits", "duplicates_suppressed"),
+    ("net_gave_up", "gave_up"),
+)
 
 
 class _Pending:
@@ -135,14 +153,13 @@ class _SocketAdapter(asyncio.DatagramProtocol):
         self.owner.counters["socket_errors"] += 1
 
 
-class DatagramTransport:
+class DatagramTransport(TransportBase):
     """Reliable protocol messaging over one UDP socket.
 
     ``runtime`` must be an :class:`AsyncioRuntime`: the socket endpoint
     lives on its private loop and deliveries drain through its mailbox.
-    Timeouts are in protocol time units (scaled by the runtime's
-    ``time_scale``), so the same configuration behaves identically at
-    any wall-clock scale.
+    ``metrics``, when given, belongs to this transport alone: its
+    ``net_*`` readings are this transport's counters.
     """
 
     def __init__(
@@ -152,55 +169,22 @@ class DatagramTransport:
         stats: Optional[MessageStats] = None,
         faults: Optional[FaultPlan] = None,
         rendezvous: Optional[Address] = None,
-        retransmit_timeout: float = 40.0,
-        max_retries: int = 10,
-        control_timeout: float = 60.0,
-        max_control_retries: int = 5,
-        resolve_retry_delay: float = 50.0,
-        max_resolve_attempts: int = 12,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.runtime = runtime
+        super().__init__(runtime, stats, tracer)
         self.local_addr = local_addr
-        self.stats = stats if stats is not None else MessageStats()
         self.rendezvous = rendezvous
-        # A disabled tracer (NullTracer) is normalized to None, same as
-        # the in-memory transport: with telemetry off, the send path is
-        # the exact pre-instrumentation code.
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
         self.metrics = metrics
-        if metrics is not None:
-            self._m_unacked = metrics.gauge("net_unacked_depth")
-            self._m_retransmits = metrics.counter("net_retransmits")
-            self._m_dedup = metrics.counter("net_dedup_hits")
-            self._m_gave_up = metrics.counter("net_gave_up")
-            self._m_resolve = metrics.histogram("net_resolve_ms")
-            # Per-peer ack RTT histograms, cached by destination.
-            self._m_rtt: Dict[NodeId, Histogram] = {}
-        else:
-            self._m_unacked = None
-            self._m_retransmits = None
-            self._m_dedup = None
-            self._m_gave_up = None
-            self._m_resolve = None
-            self._m_rtt = {}
-        self.retransmit_timeout = retransmit_timeout
-        self.max_retries = max_retries
-        self.control_timeout = control_timeout
-        self.max_control_retries = max_control_retries
-        self.resolve_retry_delay = resolve_retry_delay
-        self.max_resolve_attempts = max_resolve_attempts
         self.faults = FaultInjector(faults) if faults is not None else None
-        #: Same contract as the in-memory transport's hook: drop
-        #: outbound messages the filter matches (applied pre-wire).
-        self.drop_filter: Optional[Callable[[Message, NodeId], bool]] = None
         #: Control-protocol server hook: ``on_control(op, body, addr)``
         #: returns a response body dict (or None for no response).
         self.on_control: Optional[
             Callable[[str, dict, Address], Optional[dict]]
         ] = None
         self.peers: Dict[NodeId, Address] = {}
+        #: The wire's one tally (``status`` reports it, the ``net_*``
+        #: metrics read it).
         self.counters: Dict[str, int] = {
             "datagrams_sent": 0,
             "datagrams_received": 0,
@@ -226,16 +210,22 @@ class DatagramTransport:
         self._unacked: Dict[int, _Pending] = {}
         self._pending_ctl: Dict[int, _PendingControl] = {}
         self._seen: Dict[NodeId, Set[int]] = {}
-        self._awaiting_addr: Dict[NodeId, List[_Pending]] = {}
-        self._resolving: Set[NodeId] = set()
-        self._resolve_started: Dict[NodeId, float] = {}
+        # Destinations being resolved through the rendezvous: when the
+        # first lookup started (loop time) and the sends queued on it.
+        self._resolving: Dict[NodeId, Tuple[float, List[_Pending]]] = {}
         self._closed = False
-        # Causal-stamping state (tracing only): the message currently
-        # being handled, and the next per-process counter.  The stamp
-        # prefix binds ids to this node, keeping them cluster-unique.
-        self._cause: Optional[Message] = None
-        self._next_msg_num = 1
-        self._stamp_prefix: Optional[str] = None
+        if metrics is not None:
+            # Published once now, so the instruments register in a
+            # stable order, then again on every read.
+            self._publish(metrics)
+            metrics.add_collector(self._publish)
+            metrics.histogram("net_resolve_ms")
+
+    def _publish(self, registry: MetricsRegistry) -> None:
+        """Collector: copy the wire tally into the ``net_*`` metrics."""
+        registry.gauge("net_unacked_depth").set(len(self._unacked))
+        for name, key in COUNTER_METRICS:
+            registry.counter(name).value = self.counters[key]
 
     # -- lifecycle ------------------------------------------------------
 
@@ -266,9 +256,7 @@ class DatagramTransport:
             if ctl.timer is not None:
                 ctl.timer.cancel()
         self._pending_ctl.clear()
-        self._awaiting_addr.clear()
         self._resolving.clear()
-        self._resolve_started.clear()
         if self._endpoint is not None:
             self._endpoint.close()
             self._endpoint = None
@@ -302,16 +290,16 @@ class DatagramTransport:
         """Statically seed (or refresh) a peer's address, flushing any
         messages queued awaiting its resolution."""
         self.peers[node_id] = addr
-        queued = self._awaiting_addr.pop(node_id, None)
-        self._resolving.discard(node_id)
-        started = self._resolve_started.pop(node_id, None)
-        if started is not None and self._m_resolve is not None:
-            self._m_resolve.observe(
+        resolving = self._resolving.pop(node_id, None)
+        if resolving is None:
+            return
+        started, queued = resolving
+        if self.metrics is not None:
+            self.metrics.histogram("net_resolve_ms").observe(
                 (self.runtime.loop.time() - started) * 1000.0
             )
-        if queued:
-            for pending in queued:
-                self._transmit(pending)
+        for pending in queued:
+            self._transmit(pending)
 
     # -- send path (transport contract) ----------------------------------
 
@@ -327,73 +315,17 @@ class DatagramTransport:
         return True
 
     @property
-    def tracer(self) -> Optional[Tracer]:
-        """The live tracer, or ``None`` when tracing is off."""
-        return self._tracer
-
-    @property
     def unacked_count(self) -> int:
         """Protocol datagrams currently in flight (sent, not acked)."""
         return len(self._unacked)
 
-    def _stamp(self, message: Message) -> None:
-        """Assign ``message`` its causal identity (tracing path only).
-
-        Same semantics as the in-memory transport's ``_stamp``, but
-        ids are ``"<node-id>#<counter>"`` strings so that the stamps
-        of independent daemons never collide in a merged trace.  The
-        counter is zero-padded: lexicographic order of one node's ids
-        is its send order, which keeps forest tie-breaks meaningful.
-        A cause whose own ``msg_id`` is ``None`` (sent by a peer with
-        tracing off) roots a new tree, exactly as a spontaneous send.
-        """
-        msg_id = f"{self._stamp_prefix}#{self._next_msg_num:08d}"
-        self._next_msg_num += 1
-        message.msg_id = msg_id
-        cause = self._cause
-        if cause is None or cause.msg_id is None:
-            message.trace_id = msg_id
-        else:
-            message.parent_id = cause.msg_id
-            message.trace_id = (
-                cause.trace_id if cause.trace_id is not None else cause.msg_id
-            )
-
-    def _set_unacked_gauge(self) -> None:
-        if self._m_unacked is not None:
-            self._m_unacked.set(len(self._unacked))
-
     def _dispatch(self, dst: NodeId, message: Message) -> None:
-        tracer = self._tracer
         if self.drop_filter is not None and self.drop_filter(message, dst):
-            self.stats.on_drop(message)
-            if tracer is not None:
-                self._stamp(message)
-                tracer.event(
-                    "message.drop",
-                    self.runtime.now,
-                    type=message.type_name,
-                    src=str(message.sender),
-                    dst=str(dst),
-                    msg=message.msg_id,
-                    parent=message.parent_id,
-                    trace=message.trace_id,
-                )
+            self._drop(dst, message)
             return
         self.stats.on_send(message)
-        if tracer is not None:
-            self._stamp(message)
-            tracer.event(
-                "message.send",
-                self.runtime.now,
-                type=message.type_name,
-                src=str(message.sender),
-                dst=str(dst),
-                bytes=message.size_bytes(),
-                msg=message.msg_id,
-                parent=message.parent_id,
-                trace=message.trace_id,
-            )
+        if self._tracer is not None:
+            self._trace_send(dst, message)
         if dst == self._local_id:
             # Self-delivery short-circuits the socket but still goes
             # through the mailbox for handler atomicity.
@@ -404,7 +336,6 @@ class DatagramTransport:
         data = encode_frame(msg_frame(seq, message))
         pending = _Pending(seq, dst, message, data)
         self._unacked[seq] = pending
-        self._set_unacked_gauge()
         if dst in self.peers:
             self._transmit(pending)
         else:
@@ -418,7 +349,7 @@ class DatagramTransport:
         if pending.sent_wall is None:
             pending.sent_wall = self.runtime.loop.time()
         self._send_raw(pending.data, addr, pending.message.type_name)
-        backoff = self.retransmit_timeout * min(2 ** pending.retries, 8)
+        backoff = RETRANSMIT_TIMEOUT * min(2 ** pending.retries, 8)
         pending.timer = self.runtime.schedule(
             backoff, self._on_retransmit, pending.seq
         )
@@ -455,12 +386,9 @@ class DatagramTransport:
             return
         pending.timer = None
         pending.retries += 1
-        if pending.retries > self.max_retries:
+        if pending.retries > MAX_RETRIES:
             del self._unacked[seq]
             self.counters["gave_up"] += 1
-            if self._m_gave_up is not None:
-                self._m_gave_up.inc()
-            self._set_unacked_gauge()
             self.stats.on_drop(pending.message)
             if self._tracer is not None:
                 # Not ``message.drop``: the earlier transmissions may
@@ -479,23 +407,22 @@ class DatagramTransport:
             return
         self.counters["retransmits"] += 1
         self.stats.on_retransmit(pending.message)
-        if self._m_retransmits is not None:
-            self._m_retransmits.inc()
         self._transmit(pending)
 
     # -- resolution -------------------------------------------------------
 
     def _queue_unresolved(self, dst: NodeId, pending: _Pending) -> None:
-        self._awaiting_addr.setdefault(dst, []).append(pending)
-        if dst not in self._resolving:
-            self._resolving.add(dst)
-            self._resolve_started.setdefault(dst, self.runtime.loop.time())
-            self._resolve(dst, 0)
+        resolving = self._resolving.get(dst)
+        if resolving is not None:
+            resolving[1].append(pending)
+            return
+        self._resolving[dst] = (self.runtime.loop.time(), [pending])
+        self._resolve(dst, 0)
 
     def _resolve(self, dst: NodeId, attempt: int) -> None:
         if dst in self.peers or dst not in self._resolving:
             return
-        if self.rendezvous is None or attempt >= self.max_resolve_attempts:
+        if self.rendezvous is None or attempt >= MAX_RESOLVE_ATTEMPTS:
             self._resolution_failed(dst)
             return
 
@@ -507,7 +434,7 @@ class DatagramTransport:
                 self.add_peer(dst, (addr[0], addr[1]))
             else:
                 self.runtime.schedule(
-                    self.resolve_retry_delay, self._retry_resolve,
+                    RESOLVE_RETRY_DELAY, self._retry_resolve,
                     (dst, attempt + 1),
                 )
 
@@ -521,26 +448,13 @@ class DatagramTransport:
         self._resolve(dst, attempt)
 
     def _resolution_failed(self, dst: NodeId) -> None:
-        self._resolving.discard(dst)
-        self._resolve_started.pop(dst, None)
+        _, queued = self._resolving.pop(dst)
         self.counters["resolve_failures"] += 1
-        for pending in self._awaiting_addr.pop(dst, []):
+        for pending in queued:
             self._unacked.pop(pending.seq, None)
-            self.stats.on_drop(pending.message)
-            if self._tracer is not None:
-                # Never transmitted: a true drop (the send record is
-                # rewritten as dropped when the forest is rebuilt).
-                self._tracer.event(
-                    "message.drop",
-                    self.runtime.now,
-                    type=pending.message.type_name,
-                    src=str(pending.message.sender),
-                    dst=str(dst),
-                    msg=pending.message.msg_id,
-                    parent=pending.message.parent_id,
-                    trace=pending.message.trace_id,
-                )
-        self._set_unacked_gauge()
+            # Never transmitted: a true drop (the send record is
+            # rewritten as dropped when the forest is rebuilt).
+            self._drop(dst, pending.message, sent=True)
 
     # -- control protocol -------------------------------------------------
 
@@ -565,7 +479,7 @@ class DatagramTransport:
         self.counters["control_requests"] += 1
         self._send_control_raw(data, addr)
         ctl.timer = self.runtime.schedule(
-            self.control_timeout, self._on_control_timeout, rid
+            CONTROL_TIMEOUT, self._on_control_timeout, rid
         )
         return rid
 
@@ -583,7 +497,7 @@ class DatagramTransport:
             return
         ctl.timer = None
         ctl.retries += 1
-        if ctl.retries > self.max_control_retries:
+        if ctl.retries > MAX_CONTROL_RETRIES:
             del self._pending_ctl[rid]
             self.counters["control_timeouts"] += 1
             if ctl.on_reply is not None:
@@ -591,7 +505,7 @@ class DatagramTransport:
             return
         self._send_control_raw(ctl.data, ctl.addr)
         ctl.timer = self.runtime.schedule(
-            self.control_timeout, self._on_control_timeout, rid
+            CONTROL_TIMEOUT, self._on_control_timeout, rid
         )
 
     # -- receive path -----------------------------------------------------
@@ -629,8 +543,6 @@ class DatagramTransport:
         seen = self._seen.setdefault(sender, set())
         if seq in seen:
             self.counters["duplicates_suppressed"] += 1
-            if self._m_dedup is not None:
-                self._m_dedup.inc()
             return
         seen.add(seq)
         if len(seen) > DEDUP_WINDOW:
@@ -642,26 +554,10 @@ class DatagramTransport:
         node = self._node
         if node is None:
             return
-        tracer = self._tracer
-        if tracer is None:
+        if self._tracer is None:
             node.receive(message)
-            return
-        tracer.event(
-            "message.deliver",
-            self.runtime.now,
-            type=message.type_name,
-            src=str(message.sender),
-            dst=str(self._local_id),
-            msg=message.msg_id,
-        )
-        # The received message is the causal parent of everything its
-        # handler sends (mirrors the in-memory transport's deliver
-        # closure); handler atomicity makes the try/finally airtight.
-        self._cause = message
-        try:
-            node.receive(message)
-        finally:
-            self._cause = None
+        else:
+            self._receive_traced(node, message)
 
     def _on_ack_frame(self, frame: dict) -> None:
         pending = self._unacked.pop(frame["s"], None)
@@ -679,16 +575,9 @@ class DatagramTransport:
             # Karn's rule: a retransmitted datagram's ack is ambiguous
             # (which copy does it answer?), so only first-transmission
             # acks contribute RTT samples.
-            histogram = self._m_rtt.get(pending.dst)
-            if histogram is None:
-                histogram = self.metrics.histogram(
-                    "net_ack_rtt_ms", peer=str(pending.dst)
-                )
-                self._m_rtt[pending.dst] = histogram
-            histogram.observe(
-                (self.runtime.loop.time() - pending.sent_wall) * 1000.0
-            )
-        self._set_unacked_gauge()
+            self.metrics.histogram(
+                "net_ack_rtt_ms", peer=str(pending.dst)
+            ).observe((self.runtime.loop.time() - pending.sent_wall) * 1000.0)
         # The cancel may have been the last pending action: wake the
         # dispatcher so quiescence is observed.
         self.runtime.kick()
@@ -713,4 +602,13 @@ class DatagramTransport:
         self.runtime.kick()
 
 
-__all__ = ["DEDUP_WINDOW", "DatagramTransport"]
+__all__ = [
+    "CONTROL_TIMEOUT",
+    "DEDUP_WINDOW",
+    "DatagramTransport",
+    "MAX_CONTROL_RETRIES",
+    "MAX_RESOLVE_ATTEMPTS",
+    "MAX_RETRIES",
+    "RESOLVE_RETRY_DELAY",
+    "RETRANSMIT_TIMEOUT",
+]

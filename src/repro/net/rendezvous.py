@@ -21,7 +21,8 @@ worker also runs; this module holds only the op table and its state.
 op         body                                     response
 =========  =======================================  ==================
 announce   ``id`` (tagged), ``s`` (is_s_node),      ``ok``, ``peers``
-           ``kind`` (optional, default "node")
+           ``kind`` (optional, default "node")      (``error`` if the
+                                                    id is in use)
 peers      --                                       ``peers`` (S only)
 resolve    ``id`` (tagged)                          ``addr`` or null
 remove     ``id`` (tagged)                          ``ok``
@@ -38,6 +39,12 @@ only, capped).  ``kind`` distinguishes protocol nodes (``"node"``)
 from sweep executors (``"worker"``, announced by ``repro worker``);
 workers never appear in ``peers``, so a mixed cluster bootstraps
 exactly as before.
+
+An ``announce`` of an id that is live at a different address is
+refused with ``{"error": "id in use"}`` and the first row stands: a
+second daemon on one id would take the first one's replies.  The
+refused daemon is handed no peers, so a joiner exhausts discovery and
+exits instead of stalling another node's join.
 """
 
 from __future__ import annotations
@@ -91,6 +98,9 @@ class RendezvousServer(ControlServer):
             node_id = node_id_from_wire(body["id"])
             # The announcing socket's source address IS the node's
             # listen address (daemons send from their bound socket).
+            holder = self._live().get(node_id)
+            if holder is not None and holder.addr != addr:
+                return {"error": "id in use"}
             self.registrations[node_id] = _Registration(
                 addr,
                 bool(body.get("s")),

@@ -84,7 +84,7 @@ def poll_cluster(
             retransmits=wire.get(
                 "retransmitted", net.get("retransmits", 0)
             ),
-            deduped=wire.get("deduped", net.get("duplicates_suppressed", 0)),
+            deduped=net.get("duplicates_suppressed", 0),
             tx_bytes=net.get("wire_bytes_sent"),
             rx_bytes=net.get("wire_bytes_received"),
             rtt_ms=rtt_ms,

@@ -6,6 +6,11 @@ deferred delivery (``schedule``), never for anything
 simulator-specific.  Under the virtual-time runtime this is exactly
 the pre-refactor discrete-event delivery; under the asyncio runtime
 the same code delivers over wall-clock timers.
+
+:class:`TransportBase` is the part the UDP
+:class:`~repro.net.datagram.DatagramTransport` shares with
+:class:`Transport`: accounting, ``drop_filter`` and the one causal
+trace path, so the two transports differ only in their wire.
 """
 
 from __future__ import annotations
@@ -29,7 +34,135 @@ class UnknownDestinationError(RuntimeError):
     deletion) this indicates a protocol bug, so it fails loudly."""
 
 
-class Transport:
+class TransportBase:
+    """What the in-memory and the datagram transport share: message
+    accounting, the ``drop_filter`` hook, and the causal trace path.
+
+    With a live tracer every send is stamped (``msg_id`` /
+    ``parent_id`` / ``trace_id``) and written as one ``message.send``
+    event, every drop as one ``message.drop``, and every delivery as
+    one ``message.deliver`` whose message is the causal parent of
+    everything its handler sends.  Only the id format differs: ints in
+    memory, ``"<node>#<counter:08d>"`` strings once a subclass sets
+    ``_stamp_prefix`` (cluster-unique without coordination, and one
+    node's ids sort in its send order).
+    """
+
+    #: Prefix that turns stamped ids into strings; ``None`` keeps ints.
+    _stamp_prefix: Optional[str] = None
+
+    def __init__(
+        self,
+        runtime: Runtime,
+        stats: Optional[MessageStats],
+        tracer: Optional[Tracer],
+    ):
+        self.runtime = runtime
+        self.stats = stats if stats is not None else MessageStats()
+        # A disabled tracer (NullTracer) is normalized to None so the
+        # hot send path stays the exact pre-instrumentation code.
+        self._tracer = tracer if tracer is not None and tracer.enabled else None
+        #: Fault-injection hook: when set, a message for which
+        #: ``drop_filter(message, dst)`` is true is dropped instead of
+        #: sent, accounted through the same :meth:`MessageStats.on_drop`
+        #: / ``message.drop`` trace path as a lossy send to a dead node.
+        #: Used by tests and audits to inject message loss.
+        self.drop_filter: Optional[Callable[[Message, NodeId], bool]] = None
+        # Causal-stamping state (tracing only): the message currently
+        # being delivered, and the next msg_id to hand out.
+        self._cause: Optional[Message] = None
+        self._next_msg_id = 1
+
+    @property
+    def tracer(self) -> Optional[Tracer]:
+        """The live tracer, or ``None`` when tracing is off."""
+        return self._tracer
+
+    def _stamp(self, message: Message) -> None:
+        """Assign ``message`` its causal identity (tracing path only).
+
+        The parent is whatever message is currently being delivered:
+        a send from inside a handler is *caused by* the handled
+        message, a send from outside any handler (``begin_join``, a
+        recovery timer) roots a new causal tree.  So does a cause with
+        no ``msg_id`` (a peer with tracing off sent it).
+        """
+        number = self._next_msg_id
+        self._next_msg_id = number + 1
+        prefix = self._stamp_prefix
+        msg_id = number if prefix is None else f"{prefix}#{number:08d}"
+        message.msg_id = msg_id
+        cause = self._cause
+        if cause is None or cause.msg_id is None:
+            message.trace_id = msg_id
+        else:
+            message.parent_id = cause.msg_id
+            message.trace_id = (
+                cause.trace_id if cause.trace_id is not None else cause.msg_id
+            )
+
+    def _trace_send(
+        self, dst: NodeId, message: Message, latency: Optional[float] = None
+    ) -> None:
+        """Stamp ``message`` and write its ``message.send`` event (with
+        the model ``latency`` where the transport knows it)."""
+        self._stamp(message)
+        attrs = {
+            "type": message.type_name,
+            "src": str(message.sender),
+            "dst": str(dst),
+            "bytes": message.size_bytes(),
+        }
+        if latency is not None:
+            attrs["latency"] = latency
+        self._tracer.event(
+            "message.send",
+            self.runtime.now,
+            **attrs,
+            msg=message.msg_id,
+            parent=message.parent_id,
+            trace=message.trace_id,
+        )
+
+    def _drop(self, dst: NodeId, message: Message, sent: bool = False) -> None:
+        """Account a dropped message (stats counter plus, when tracing,
+        a ``message.drop`` event).  A message not ``sent`` yet is
+        stamped here; one that was keeps its ``message.send`` ids."""
+        self.stats.on_drop(message)
+        if self._tracer is not None:
+            if not sent:
+                self._stamp(message)
+            self._tracer.event(
+                "message.drop",
+                self.runtime.now,
+                type=message.type_name,
+                src=str(message.sender),
+                dst=str(dst),
+                msg=message.msg_id,
+                parent=message.parent_id,
+                trace=message.trace_id,
+            )
+
+    def _receive_traced(self, node: "NetworkNode", message: Message) -> None:
+        """Deliver ``message`` to ``node`` under tracing: a
+        ``message.deliver`` event, then the handler, with the message
+        as the causal parent of everything the handler sends."""
+        self._tracer.event(
+            "message.deliver",
+            self.runtime.now,
+            type=message.type_name,
+            src=str(message.sender),
+            dst=str(node.node_id),
+            msg=message.msg_id,
+        )
+        self._cause = message
+        try:
+            node.receive(message)
+        finally:
+            self._cause = None
+
+
+class Transport(TransportBase):
     """Delivers messages between registered nodes with model latency.
 
     Delivery is reliable and per-message delays are independent, so
@@ -44,7 +177,7 @@ class Transport:
         stats: Optional[MessageStats] = None,
         tracer: Optional[Tracer] = None,
     ):
-        self.runtime = runtime
+        super().__init__(runtime, stats, tracer)
         # Deliveries are never cancelled, so prefer the runtime's
         # fire-and-forget path (no per-message Event handle); runtimes
         # without one (realtime/asyncio) fall back to plain schedule.
@@ -52,23 +185,9 @@ class Transport:
             runtime, "schedule_fire", runtime.schedule
         )
         self.latency_model = latency_model
-        self.stats = stats if stats is not None else MessageStats()
         # Bound once: stats is never swapped after construction, and
         # send() runs once per message in the whole simulation.
         self._on_send = self.stats.on_send
-        # A disabled tracer (NullTracer) is normalized to None so the
-        # hot send path stays the exact pre-instrumentation code.
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
-        #: Fault-injection hook: when set, a message for which
-        #: ``drop_filter(message, dst)`` is true is dropped instead of
-        #: delivered, accounted through the same :meth:`MessageStats.on_drop`
-        #: / ``message.drop`` trace path as a lossy send to a dead node.
-        #: Used by tests and audits to inject message loss.
-        self.drop_filter: Optional[Callable[[Message, NodeId], bool]] = None
-        # Causal-stamping state (tracing only): the message currently
-        # being delivered, and the next msg_id to hand out.
-        self._cause: Optional[Message] = None
-        self._next_msg_id = 1
         self._nodes: Dict[NodeId, "NetworkNode"] = {}
         # Bound method of the (never-rebound) registry dict: saves an
         # attribute hop on every send.
@@ -81,11 +200,6 @@ class Transport:
             {} if getattr(latency_model, "deterministic_pairs", False)
             else None
         )
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The live tracer, or ``None`` when tracing is off."""
-        return self._tracer
 
     def register(self, node: "NetworkNode") -> None:
         """Register ``node`` as reachable at its ID."""
@@ -153,87 +267,9 @@ class Transport:
         if self._tracer is None:
             self._schedule_fire(delay, target.receive, message)
         else:
-            self._send_traced(dst, message, delay, target)
-
-    def _stamp(self, message: Message) -> None:
-        """Assign ``message`` its causal identity (tracing path only).
-
-        The parent is whatever message is currently being delivered:
-        a send from inside a handler is *caused by* the handled
-        message, a send from outside any handler (``begin_join``, a
-        recovery timer) roots a new causal tree.
-        """
-        msg_id = self._next_msg_id
-        self._next_msg_id = msg_id + 1
-        message.msg_id = msg_id
-        cause = self._cause
-        if cause is None:
-            message.trace_id = msg_id
-        else:
-            message.parent_id = cause.msg_id
-            message.trace_id = cause.trace_id
-
-    def _send_traced(
-        self,
-        dst: NodeId,
-        message: Message,
-        delay: float,
-        target: "NetworkNode",
-    ) -> None:
-        """Tracing path of :meth:`send`: stamps causal ids, emits a
-        ``message.send`` event now and a ``message.deliver`` event at
-        delivery time, and marks the message as the causal parent of
-        everything sent while its handler runs."""
-        tracer = self._tracer
-        assert tracer is not None
-        self._stamp(message)
-        name = message.type_name
-        src, dst_s = str(message.sender), str(dst)
-        tracer.event(
-            "message.send",
-            self.runtime.now,
-            type=name,
-            src=src,
-            dst=dst_s,
-            bytes=message.size_bytes(),
-            latency=delay,
-            msg=message.msg_id,
-            parent=message.parent_id,
-            trace=message.trace_id,
-        )
-
-        def deliver(msg: Message = message) -> None:
-            tracer.event(
-                "message.deliver",
-                self.runtime.now,
-                type=name,
-                src=src,
-                dst=dst_s,
-                msg=msg.msg_id,
-            )
-            self._cause = msg
-            try:
-                target.receive(msg)
-            finally:
-                self._cause = None
-
-        self.runtime.schedule(delay, deliver)
-
-    def _drop(self, dst: NodeId, message: Message) -> None:
-        """Account a dropped message (stats counter plus, when tracing,
-        a causally-stamped ``message.drop`` event)."""
-        self.stats.on_drop(message)
-        if self._tracer is not None:
-            self._stamp(message)
-            self._tracer.event(
-                "message.drop",
-                self.runtime.now,
-                type=message.type_name,
-                src=str(message.sender),
-                dst=str(dst),
-                msg=message.msg_id,
-                parent=message.parent_id,
-                trace=message.trace_id,
+            self._trace_send(dst, message, delay)
+            self.runtime.schedule(
+                delay, lambda msg: self._receive_traced(target, msg), message
             )
 
     def send_lossy(self, dst: NodeId, message: Message) -> bool:

@@ -2,7 +2,7 @@
 
 When tracing is on, the transport stamps every message with a
 ``(msg_id, parent_id, trace_id)`` triple at send time
-(:meth:`repro.network.transport.Transport._stamp`): ``parent_id`` is
+(:meth:`repro.network.transport.TransportBase._stamp`): ``parent_id`` is
 the message whose handler performed the send, so the messages of a run
 form a forest.  For the join protocol each joiner's spontaneous
 ``CpRstMsg`` roots exactly one tree -- the *join tree* -- whose shape

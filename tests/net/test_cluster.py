@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.ids.idspace import IdSpace
+from repro.net import cluster as cluster_module
 from repro.net.cluster import (
     ClusterConfig,
     ClusterError,
@@ -91,6 +92,31 @@ class TestWireDrain:
         with pytest.raises(ClusterError, match="node-0, node-1, node-2"):
             harness.run()
         assert "table" not in client.log
+
+
+class TestDistinctIds:
+    def test_spawned_daemons_get_distinct_ids(self, monkeypatch):
+        spawned = []
+
+        class RecordingProc(FakeProc):
+            def __init__(self, name, argv):
+                super().__init__(name, 7000 + len(spawned))
+                spawned.append(argv)
+
+            def wait_ready(self):
+                return {}
+
+        monkeypatch.setattr(cluster_module, "_Proc", RecordingProc)
+        harness = _ClusterHarness(ClusterConfig(nodes=16, joins=8), quiet)
+        try:
+            harness.rendezvous = FakeProc("rendezvous", 9000)
+            for index in range(16):
+                harness._spawn_node(f"node-{index}", seed_node=index == 0)
+        finally:
+            harness.client.close()
+        ids = [argv[argv.index("--id") + 1] for argv in spawned]
+        space = IdSpace(4, 4)
+        assert len({space.from_string(text) for text in ids}) == 16
 
 
 class TestClusterConfig:

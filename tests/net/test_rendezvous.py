@@ -95,6 +95,31 @@ class TestHandlerLogic:
         registration.refreshed_at -= 120.0
         assert handle("directory", {}, ("c", 1))["nodes"] == []
 
+    def test_an_id_live_at_another_address_is_refused(self):
+        handle = self.server.handle
+        first = ("127.0.0.1", 10)
+        assert handle("announce", {"id": wire_id("0123"), "s": True},
+                      first)["ok"]
+        reply = handle("announce", {"id": wire_id("0123"), "s": False},
+                       ("127.0.0.1", 11))
+        assert reply == {"error": "id in use"}
+        # The first row stands, and its owner may keep re-announcing.
+        assert handle("resolve", {"id": wire_id("0123")}, first) == {
+            "addr": list(first)
+        }
+        assert handle("announce", {"id": wire_id("0123"), "s": True},
+                      first)["ok"]
+
+    def test_an_expired_id_may_be_taken_by_another_address(self):
+        server = RendezvousServer(("127.0.0.1", 0), ttl=0.0)
+        try:
+            server.handle("announce", {"id": wire_id("0123")},
+                          ("127.0.0.1", 10))
+            assert server.handle("announce", {"id": wire_id("0123")},
+                                 ("127.0.0.1", 11))["ok"]
+        finally:
+            server.close()
+
     def test_unknown_op(self):
         assert "error" in self.server.handle("wat", {}, ("c", 1))
 

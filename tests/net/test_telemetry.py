@@ -8,11 +8,13 @@ merged stream exactly as it consumes a simulator trace.
 """
 
 from repro.consistency.checker import check_consistency
+from repro.net.faults import FaultPlan
 from repro.obs.causality import CausalForest
 from repro.obs.instrument import Observability
 from repro.obs.remote import merge_traces
 from repro.obs.report import RunReport
 from repro.protocol.join import JoinProtocolNetwork
+from repro.protocol.messages import JoinWaitMsg
 from repro.protocol.network_init import single_node_table
 
 from tests.net.conftest import LoopbackNet
@@ -199,3 +201,86 @@ class TestWireMetrics:
         assert merged.get("net_gave_up", 0) == 0
         # Everything acked at quiescence.
         assert merged.get("net_unacked_depth", 0) == 0
+
+    def test_lossy_wire_metrics_read_the_counters(self):
+        plans = {
+            index: FaultPlan(loss=0.1, duplicate=0.1, seed=index + 1)
+            for index in range(4)
+        }
+        with LoopbackNet(4, telemetry=True, fault_plans=plans) as net:
+            for index in range(1, 4):
+                net.join(index)
+            net.run(wall_budget=30.0)
+            readings = [
+                (
+                    transport.counters,
+                    transport.unacked_count,
+                    bundle.metrics.snapshot(),
+                )
+                for transport, bundle in zip(
+                    net.transports, net.telemetries
+                )
+            ]
+        assert sum(counters["retransmits"] for counters, _, _ in readings)
+        assert sum(
+            counters["duplicates_suppressed"] for counters, _, _ in readings
+        )
+        for counters, unacked, snapshot in readings:
+            assert snapshot["net_retransmits"] == counters["retransmits"]
+            assert snapshot["net_dedup_hits"] == (
+                counters["duplicates_suppressed"]
+            )
+            assert snapshot["net_gave_up"] == counters["gave_up"]
+            assert snapshot["net_unacked_depth"] == unacked
+
+
+def _message_event_keys(events):
+    """``{event name: {attribute-key tuple, ...}}`` over ``message.*``."""
+    keys = {}
+    for event in events:
+        if event.name.startswith("message."):
+            keys.setdefault(event.name, set()).add(tuple(event.attrs))
+    return keys
+
+
+SEND_KEYS = ("type", "src", "dst", "bytes", "msg", "parent", "trace")
+DELIVER_KEYS = ("type", "src", "dst", "msg")
+DROP_KEYS = ("type", "src", "dst", "msg", "parent", "trace")
+
+
+class TestMessageEventSchema:
+    """The ``message.*`` attributes each endpoint of a traced UDP run
+    writes, including both ways a datagram send is dropped: by the
+    ``drop_filter`` hook and by a destination nobody can resolve."""
+
+    def test_attribute_keys_per_transport(self):
+        with LoopbackNet(3, telemetry=True) as net:
+            net.join(1)
+            net.join(2)
+            net.run()
+            first = net.transports[0]
+            filtered = net.ids[1]
+            first.drop_filter = lambda message, dst: dst == filtered
+            unknown = net.space.from_string("3333")
+            assert unknown not in net.ids
+            for dst in (filtered, unknown):
+                net.runtime.schedule(
+                    0.0, lambda dst=dst: first.send(
+                        dst, JoinWaitMsg(net.ids[0])
+                    )
+                )
+            net.run()
+            assert first.counters["resolve_failures"] == 1
+            events = [bundle.tracer.events() for bundle in net.telemetries]
+        drops = [e for e in events[0] if e.name == "message.drop"]
+        assert len(drops) == 2
+        assert _message_event_keys(events[0]) == {
+            "message.send": {SEND_KEYS},
+            "message.deliver": {DELIVER_KEYS},
+            "message.drop": {DROP_KEYS},
+        }
+        for peer_events in events[1:]:
+            assert _message_event_keys(peer_events) == {
+                "message.send": {SEND_KEYS},
+                "message.deliver": {DELIVER_KEYS},
+            }

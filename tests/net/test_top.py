@@ -105,11 +105,11 @@ class TestLivePoll:
             {
                 "id": "0123", "status": "in_system", "s": True,
                 "table_filled": 9, "now": 42.0, "telemetry": True,
-                "wire": {
-                    "sent": 17, "retransmitted": 1, "deduped": 2,
-                    "acked": 17, "gave_up": 0, "unacked": 0,
+                "wire": {"sent": 17, "retransmitted": 1, "unacked": 0},
+                "net": {
+                    "wire_bytes_sent": 20917, "wire_bytes_received": 344,
+                    "duplicates_suppressed": 2,
                 },
-                "net": {"wire_bytes_sent": 20917, "wire_bytes_received": 344},
             }
         )
         # A registered-but-gone daemon: announces, then its socket dies.

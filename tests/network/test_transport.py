@@ -97,3 +97,45 @@ class TestTransport:
         sim.run()
         # a pings itself, then pongs itself.
         assert ("ping", 2.0) in a.received
+
+
+class TestMessageEventSchema:
+    """The ``message.*`` attributes a traced in-memory join writes,
+    including a ``drop_filter`` drop and a lossy send to a node that
+    is not registered."""
+
+    def test_attribute_keys_of_a_traced_join(self):
+        import random
+
+        from repro.obs.instrument import Observability
+        from repro.protocol.join import JoinProtocolNetwork
+        from repro.protocol.messages import JoinWaitMsg
+        from repro.protocol.network_init import single_node_table
+
+        obs = Observability.tracing()
+        ids = SPACE.random_unique_ids(5, random.Random(1))
+        net = JoinProtocolNetwork(SPACE, obs=obs, seed=3)
+        net.add_s_node(ids[0], single_node_table(ids[0]))
+        for node_id in ids[1:4]:
+            net.start_join(node_id, gateway=ids[0])
+        net.run()
+        transport = net.transport
+        transport.drop_filter = lambda message, dst: True
+        transport.send(ids[1], JoinWaitMsg(ids[0]))
+        assert not transport.send_lossy(ids[4], JoinWaitMsg(ids[0]))
+        net.run()
+        keys = {}
+        for event in obs.tracer.events():
+            if event.name.startswith("message."):
+                keys.setdefault(event.name, set()).add(tuple(event.attrs))
+        assert len(obs.tracer.events("message.drop")) == 2
+        assert keys == {
+            "message.send": {(
+                "type", "src", "dst", "bytes", "latency", "msg", "parent",
+                "trace",
+            )},
+            "message.deliver": {("type", "src", "dst", "msg")},
+            "message.drop": {(
+                "type", "src", "dst", "msg", "parent", "trace",
+            )},
+        }

@@ -206,6 +206,34 @@ class TestOneControlServer:
         assert not offenders, offenders
 
 
+class TestOneTracePath:
+    def test_message_events_are_built_in_one_module(self):
+        """The in-memory and the datagram transport share one causal
+        trace path, in :mod:`repro.network.transport`; a transport
+        that spells a ``message.*`` event name itself has copied it.
+        ``message.gave_up`` exists only on the wire and stays there."""
+        trees = {
+            str(path.relative_to(SRC)): ast.parse(
+                path.read_text(encoding="utf-8")
+            )
+            for package in ("network", "net")
+            for path in sorted((SRC / "repro" / package).rglob("*.py"))
+        }
+
+        def users(name):
+            return [
+                module for module, tree in trees.items()
+                if any(
+                    isinstance(node, ast.Constant) and node.value == name
+                    for node in ast.walk(tree)
+                )
+            ]
+
+        for name in ("message.send", "message.drop", "message.deliver"):
+            assert users(name) == ["repro/network/transport.py"], name
+        assert users("message.gave_up") == ["repro/net/datagram.py"]
+
+
 class TestOneValueCodec:
     def test_value_forms_are_spelled_in_one_module(self):
         """The tagged value forms live once, in
