@@ -17,7 +17,8 @@ bookkeeping bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional
+from functools import lru_cache
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.ids.digits import PACKED_DIGIT_BITS, PACKED_DIGIT_MASK, NodeId
 from repro.ids.packed import SuffixClassIndex
@@ -128,13 +129,35 @@ def table_violations(
     Returns, whatever the mode, whether the table is clean under the
     strict rules: no violation found, exactly the required positions
     filled (so no false positive) and every state ``S``.
+
+    Most tables are clean, and a table whose filled positions are
+    exactly the required ones can hold neither a false negative nor a
+    false positive.  Such a table takes one pass over its cells that
+    checks each occupant's membership and suffix and then the states;
+    at the first anomaly the merge below decides, so the violations,
+    their order and the returned verdict are the merge's own.
     """
     packed = node_id._packed
     base = index.base
+    required = index.required_positions(packed)
+    positions = table._positions
+    if positions == required:
+        high, low, digit_bits = _cell_patterns(base, index.num_digits)
+        cells = table._cells
+        for idx in positions:
+            other = cells[idx]._packed
+            if other not in occupants or (
+                other & high[idx] != (packed & low[idx]) | digit_bits[idx]
+            ):
+                break
+        else:
+            if _T_CODE not in table._states:
+                return True
+            if not require_s_states:
+                return False
     w = PACKED_DIGIT_BITS
     digit_mask = PACKED_DIGIT_MASK
     s_state = NeighborState.S
-    required = index.required_positions(packed)
     count = len(required)
     snapshot = table.snapshot()
     already = len(found)
@@ -183,6 +206,29 @@ def table_violations(
     for idx in required[i:]:
         found.append(_false_negative(node_id, idx, index))
     return all_s and len(found) == already and len(snapshot) == count
+
+
+#: The state byte :class:`NeighborTable` keeps for a ``T`` entry.
+_T_CODE = 1
+
+
+@lru_cache(maxsize=None)
+def _cell_patterns(
+    base: int, num_digits: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """Per flat position ``idx = level * base + digit``: the mask of
+    the ``level + 1`` low digits, the mask of the ``level`` low digits,
+    and ``digit`` in its place.  An occupant ``p`` carries the suffix
+    the ``idx`` entry of ``q``'s table asks for iff ``p & high[idx] ==
+    (q & low[idx]) | digit_bits[idx]``."""
+    high, low, digit_bits = [], [], []
+    for level in range(num_digits):
+        shift = level * PACKED_DIGIT_BITS
+        for digit in range(base):
+            high.append((1 << (shift + PACKED_DIGIT_BITS)) - 1)
+            low.append((1 << shift) - 1)
+            digit_bits.append(digit << shift)
+    return tuple(high), tuple(low), tuple(digit_bits)
 
 
 def _false_negative(

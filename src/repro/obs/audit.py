@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
+from operator import attrgetter, is_not
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.expected_cost import (
@@ -52,6 +54,8 @@ HARD_KINDS = (
     "final_consistency",
 )
 SOFT_KINDS = ("theorem45",)
+
+_STATUS = attrgetter("status")
 
 
 @dataclass
@@ -249,6 +253,15 @@ class LiveAuditor:
         self._stalled: Set[Any] = set()
         # node_id -> (status, virtual time the status was entered).
         self._phase_entered: Dict[Any, Tuple[Any, float]] = {}
+        # The audited ``{node_id: table}`` map -- S-nodes plus stalled
+        # joiners, in ``network.nodes`` order -- carried from sample to
+        # sample; None until the first.
+        self._audited: Optional[Dict[Any, Any]] = None
+        # Every node's status at the last sample, in ``network.nodes``
+        # order, and the lengths of ``initial_ids`` and ``joiner_ids``
+        # then (every arrival grows one of them).
+        self._statuses: List[Any] = []
+        self._roster: Tuple[int, int] = (0, 0)
         if self.config.incremental:
             from repro.consistency.incremental import IncrementalChecker
 
@@ -311,13 +324,16 @@ class LiveAuditor:
 
     # -- sampling -------------------------------------------------------
 
-    def _check_stalls(self, now: float) -> None:
-        """Flag joiners stuck in one phase beyond ``stall_timeout``."""
+    def _check_stalls(self, now: float) -> List[Any]:
+        """Flag joiners stuck in one phase beyond ``stall_timeout``;
+        returns the ones flagged now."""
+        promoted: List[Any] = []
         timeout = self.config.stall_timeout
         for node_id, (status, entered) in self._phase_entered.items():
             if node_id in self._stalled or now - entered <= timeout:
                 continue
             self._stalled.add(node_id)
+            promoted.append(node_id)
             phase = getattr(status, "value", str(status))
             self._incident(
                 "stall",
@@ -326,6 +342,7 @@ class LiveAuditor:
                 f"{node_id} stuck in {phase} since t={entered:g} "
                 f"({now - entered:g} > {timeout:g})",
             )
+        return promoted
 
     def _check_theorem3(self, now: float) -> int:
         """Hard per-joiner gate; returns the current maximum count."""
@@ -395,17 +412,62 @@ class LiveAuditor:
                     )
         return len(result.violations), persistent
 
+    def _audited_tables(self, promoted: List[Any]) -> Dict[Any, Any]:
+        """The audited map, brought up to date with what moved since
+        the last sample: statuses that changed (phase transitions, and
+        the ones no transition announces, such as a member that started
+        leaving) and the joiners ``promoted`` by a stall.  A node that
+        arrived or left since rebuilds the map."""
+        net = self.network
+        nodes = net.nodes
+        statuses = list(map(_STATUS, nodes.values()))
+        roster = (len(net.initial_ids), len(net.joiner_ids))
+        previous = self._statuses
+        self._statuses = statuses
+        if (
+            self._audited is None
+            or roster != self._roster
+            or len(statuses) != len(previous)
+        ):
+            self._roster = roster
+            self._audited = {}
+            moved: Optional[int] = 0
+        else:
+            # Same nodes in the same order: a slot of ``statuses`` is a
+            # position in ``network.nodes``.
+            moved = next(
+                compress(count(), map(is_not, statuses, previous)), None
+            )
+            promoted = [node_id for node_id in promoted if node_id in nodes]
+            if promoted:
+                first = min(map(list(nodes).index, promoted))
+                moved = first if moved is None else min(moved, first)
+        if moved is not None:
+            self._relay_audited(moved)
+        return self._audited
+
+    def _relay_audited(self, start: int) -> None:
+        """Re-decide the nodes from position ``start`` of
+        ``network.nodes`` on: the audited map keeps that order, so its
+        entries from there come off and the audited ones go back on."""
+        audited = self._audited
+        stalled = self._stalled
+        tail = list(islice(self.network.nodes.items(), start, None))
+        for node_id, _node in tail:
+            audited.pop(node_id, None)
+        audited.update(
+            (node_id, node.table)
+            for node_id, node in tail
+            if node.status.is_s_node or node_id in stalled
+        )
+
     def sample(self, now: float) -> AuditSample:
         """Take one audit sample at virtual time ``now``."""
-        self._check_stalls(now)
+        promoted = self._check_stalls(now)
         self._check_theorem3(now)
         nodes = self.network.nodes
         stalled = self._stalled
-        audited = {
-            node_id: node.table
-            for node_id, node in nodes.items()
-            if node.status.is_s_node or node_id in stalled
-        }
+        audited = self._audited_tables(promoted)
         # Every S-node is audited, and so is every stalled joiner.
         s_nodes = len(audited) - sum(
             1 for node_id in stalled
@@ -443,6 +505,8 @@ class LiveAuditor:
                 f"{node_id} still in {phase} (entered t={entered:g}) "
                 f"at quiescence",
             )
+        # Sampling is over: the map it carried gives way to the full one.
+        self._audited = None
         tables = {
             node_id: node.table for node_id, node in net.nodes.items()
         }

@@ -40,9 +40,10 @@ def _no_full_index(members):
 def test_finalize_rechecks_only_what_changed(audited_run, monkeypatch):
     net, auditor = audited_run
     checker = auditor._incremental
+    verified = dict(zip(checker._members, checker._verified))
     changed = [
         node_id for node_id, node in net.nodes.items()
-        if checker._versions.get(node_id) != node.table.version
+        if verified.get(node_id) != node.table.version
     ]
     assert 0 < len(changed) < NODES // 10
     before = checker.nodes_reverified
