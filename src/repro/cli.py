@@ -7,6 +7,9 @@ Commands map one-to-one onto the paper's artifacts:
 * ``fig15a``    -- print the Theorem 5 upper-bound curves.
 * ``fig15b``    -- run a Figure 15(b) simulation (scaled by default,
   ``--full`` for the paper's 8320-router configurations).
+* ``reproduce`` -- run the claims manifest
+  (:mod:`repro.experiments.claims`), exit 1 if a check fails; ``--out
+  EXPERIMENTS.md`` regenerates that file's tables.
 * ``join``      -- run a concurrent-join experiment and verify
   Theorems 1-3; ``--trace out.jsonl`` writes a span/event trace,
   ``--metrics`` / ``--metrics-csv out.csv`` expose the metrics
@@ -40,14 +43,14 @@ Commands map one-to-one onto the paper's artifacts:
   (:mod:`repro.net.top`), polled via the rendezvous directory;
   sweep workers show up alongside the cluster daemons.
 
-The campaign commands (``fig15b``, ``join``, ``sweep``, ``churn``)
-share the execution-engine flags: ``--jobs N`` and ``--backend
-inline|pool|remote`` (default: inline for ``--jobs 1``, the process
-pool otherwise), plus ``--workers HOST:PORT,...`` and ``--workers-from
-HOST:PORT`` (rendezvous worker discovery) for the remote backend; the
-selection rule is :func:`repro.exec.create_backend`.  Results are
-identical across backends -- see :mod:`repro.exec` and
-``docs/distributed.md``.
+The campaign commands (``fig15b``, ``reproduce``, ``join``,
+``sweep``, ``churn``) share the execution-engine flags: ``--jobs N``
+and ``--backend inline|pool|remote`` (default: inline for ``--jobs
+1``, the process pool otherwise), plus ``--workers HOST:PORT,...`` and
+``--workers-from HOST:PORT`` (rendezvous worker discovery) for the
+remote backend; the selection rule is
+:func:`repro.exec.create_backend`.  Results are identical across
+backends -- see :mod:`repro.exec` and ``docs/distributed.md``.
 """
 
 from __future__ import annotations
@@ -140,6 +143,38 @@ def _cmd_fig15b(args: argparse.Namespace) -> int:
     print()
     print(cdf_chart(samples, width=60, height=12, x_max=50))
     return 0 if ok else 1
+
+
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from repro.experiments.claims import CLAIMS, TASKS, ClaimError
+    from repro.experiments.claims import evaluate, render_blocks
+    from repro.experiments.claims import rewrite_blocks, run_claim
+
+    backend = _build_backend(args)
+    if backend is None:
+        return 2
+    with backend:
+        values = backend.map(run_claim, list(TASKS))
+    outcomes = evaluate(dict(zip(TASKS, values)), CLAIMS)
+    blocks = render_blocks(outcomes)
+    for block, table in blocks.items():
+        print(f"== {block} ==\n{table}\n")
+    failed = [o.claim.key for o in outcomes if not o.ok]
+    print(f"{len(outcomes) - len(failed)}/{len(outcomes)} claims hold"
+          + (f"; failed: {', '.join(failed)}" if failed else ""))
+    if args.out:
+        with open(args.out, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        try:
+            updated = rewrite_blocks(text, blocks)
+        except ClaimError as exc:
+            print(f"error: {args.out}: {exc}", file=sys.stderr)
+            return 1
+        if updated != text:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(updated)
+        print(f"{args.out}: {'rewritten' if updated != text else 'unchanged'}")
+    return 1 if failed else 0
 
 
 def _build_backend(args: argparse.Namespace):
@@ -645,6 +680,14 @@ def build_parser() -> argparse.ArgumentParser:
     fig15b.add_argument("--seed", type=int, default=0)
     _add_backend_args(fig15b)
     fig15b.set_defaults(func=_cmd_fig15b)
+
+    reproduce = sub.add_parser(
+        "reproduce", help="paper vs measured for every claim")
+    reproduce.add_argument(
+        "--out", metavar="FILE",
+        help="rewrite the claims blocks of FILE (EXPERIMENTS.md)")
+    _add_backend_args(reproduce)
+    reproduce.set_defaults(func=_cmd_reproduce)
 
     join = sub.add_parser("join", help="concurrent-join experiment")
     join.add_argument("--base", type=int, default=16)

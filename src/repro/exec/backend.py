@@ -16,8 +16,9 @@ that lets any campaign run on any substrate:
   no pickling, byte-for-byte the plain loop.  Every campaign function
   runs on it unless handed another backend.
 * :func:`create_backend` -- the one place the backend-selection rule
-  lives; the CLI (``--backend``/``--jobs``/``--workers``) and the
-  benches (``REPRO_BENCH_*``) only parse their settings and call it.
+  lives; the CLI (``--backend``/``--jobs``/``--workers``, also on
+  ``repro reproduce``, the claims manifest) only parses its settings
+  and calls it.
 
 The other implementations live next door:
 :class:`~repro.exec.pool.ProcessPoolBackend` (single host, one worker

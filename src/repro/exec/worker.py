@@ -214,6 +214,8 @@ class WorkerDaemon(ControlServer):
 
     def _status_body(self) -> Dict[str, Any]:
         busy = self._current is not None
+        with self._lock:
+            pushes_sent = self.pushes_sent
         return {
             "kind": "worker",
             "id": node_id_to_wire(self.worker_id),
@@ -222,7 +224,7 @@ class WorkerDaemon(ControlServer):
             "now": round(time.monotonic() - self._started_at, 3),
             "tasks_done": self.tasks_done,
             "tasks_failed": self.tasks_failed,
-            "pushes_sent": self.pushes_sent,
+            "pushes_sent": pushes_sent,
             "telemetry": False,
         }
 
@@ -275,9 +277,12 @@ class WorkerDaemon(ControlServer):
         return encode_frame(ctl_frame(0, "done", {"tid": tid, **entry}))
 
     def _push(self, data: bytes, origin: Address) -> None:
-        """Fire-and-forget: the result is already cached for ``poll``."""
-        if self.sendto(data, origin):
-            self.pushes_sent += 1
+        """Fire-and-forget: the result is already cached for ``poll``.
+        The send and its count are one step under ``_lock``, so a
+        ``status`` answered after the push arrived counts it."""
+        with self._lock:
+            if self.sendto(data, origin):
+                self.pushes_sent += 1
 
     # -- rendezvous -----------------------------------------------------
 

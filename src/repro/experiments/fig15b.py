@@ -9,9 +9,9 @@ JoinNotiMsg sent per joining node, its average (6.117 / 6.051 / 5.026 /
 
 One configuration is one
 :func:`~repro.experiments.parallel.run_join_task` with
-``use_topology=True``; scaled-down configurations keep tests and
-benches fast, while ``examples/figure15b_full.py`` runs
-:data:`PAPER_CONFIGS`.
+``use_topology=True``; scaled-down configurations keep the tests
+and the claims manifest (:mod:`repro.experiments.claims`) fast, while
+``python -m repro fig15b --full`` runs :data:`PAPER_CONFIGS`.
 """
 
 from __future__ import annotations

@@ -300,8 +300,12 @@ class LiveAuditor:
         return self
 
     def on_phase(self, node_id: Any, status: Any, time: float) -> None:
-        """Phase-transition listener: tracks per-joiner progress."""
-        if getattr(status, "is_s_node", False):
+        """Phase-transition listener: tracks per-joiner progress.  A
+        joiner that reaches in_system, or starts leaving (a status
+        outside the join lifecycle), is no longer joining."""
+        if getattr(status, "is_s_node", False) or not getattr(
+            status, "is_join_phase", True
+        ):
             self._phase_entered.pop(node_id, None)
             self._stalled.discard(node_id)
         else:

@@ -18,8 +18,8 @@ work.  This package supplies that protocol:
   nearest-neighbor objective).
 
 The payoff is property P2 (routing locality): measured route *stretch*
-on the transit-stub topology drops markedly
-(``benchmarks/bench_optimization.py``).
+on the transit-stub topology drops markedly (the ``optimization``
+rows of :mod:`repro.experiments.claims`).
 """
 
 from repro.optimize.driver import (

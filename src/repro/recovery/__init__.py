@@ -19,9 +19,9 @@ restores consistency:
 
 The sweep is a best-effort epidemic: with moderate failure fractions
 the surviving pointer graph stays rich enough that a few rounds reach
-full Definition 3.8 consistency (measured in
-``benchmarks/bench_failure_recovery.py``); the driver reports exactly
-what it repaired, cleared, and could not prove either way.
+full Definition 3.8 consistency (the ``recovery_*`` rows of
+:mod:`repro.experiments.claims`), and the report says exactly what
+it repaired, cleared, and could not prove either way.
 
 Fundamental limit: if the failures *partition* the undirected survivor
 pointer graph, no distributed protocol can reconnect the components

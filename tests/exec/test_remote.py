@@ -416,6 +416,31 @@ class TestPushPath:
         assert finished[0] < 2 * poll_interval + 0.2
         assert order.index(0) < len(order) - 20
 
+    def test_status_counts_every_push_that_arrived(self):
+        """A ``status`` read after a push arrived counts that push."""
+        daemon, arrived = WorkerDaemon(("127.0.0.1", 0)), []
+
+        def sendto(data, addr):
+            arrived.append(data)
+            time.sleep(0)  # the datagram is out; let the reader run
+            return True
+
+        daemon.sendto = sendto
+        pusher = threading.Thread(target=lambda: [
+            daemon._push(b"", ("127.0.0.1", 9)) for _ in range(500)])
+        interval, behind = sys.getswitchinterval(), 0
+        sys.setswitchinterval(1e-6)
+        try:
+            pusher.start()
+            while pusher.is_alive():
+                seen = len(arrived)
+                behind += daemon._status_body()["pushes_sent"] < seen
+            pusher.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not pusher.is_alive() and behind == 0
+        assert daemon._status_body()["pushes_sent"] == 500
+
 
 class TestSweepCli:
     def test_remote_sweep_prints_the_scheduling_summary(

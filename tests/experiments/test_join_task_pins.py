@@ -5,9 +5,9 @@ Figure 15(b) once had its own task (``run_fig15b``) beside
 were folded into one, these constants were recorded through
 ``run_fig15b`` (``max_theorem3`` through ``run_join_task``); they are
 now asserted through ``run_join_task``.  The configs are seeds 0-7 of
-the CI sweep (``repro sweep --n 60 --m 20``) and of
-``benchmarks/bench_fig15b_sweep.py`` (n=300, m=100), both ``b=16,
-d=8`` on the small transit-stub topology.
+the CI sweep (``repro sweep --n 60 --m 20``) and of the claims
+manifest's ``fig15b_sweep`` task (n=300, m=100; it runs seeds 0-4),
+both ``b=16, d=8`` on the small transit-stub topology.
 
 Each row is ``(total_messages, max_theorem3, theorem3_violations,
 digest)``, where ``digest`` hashes every joiner's JoinNotiMsg count

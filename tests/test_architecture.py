@@ -479,6 +479,21 @@ class TestLazyObs:
         )
 
 
+class TestBenchmarkImports:
+    def test_workloads_load_neither_claims_nor_baselines(self):
+        """The e2e benchmark's ``startup_s`` and ``setup_s`` must not
+        pay for the claims manifest or the baseline protocols."""
+        code = (
+            "import sys; import repro.experiments.workloads, "
+            "repro.experiments.parallel, repro.experiments.churn; "
+            "bad = [m for m in sys.modules if m == "
+            "'repro.experiments.claims' or m.startswith('repro.baselines')]; "
+            "assert not bad, bad"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={"PYTHONPATH": str(SRC)})
+
+
 class TestOneJoinTask:
     """Figure 15(b), ``sweep`` and ``join --seeds`` all map
     :func:`repro.experiments.parallel.run_join_task`, and remote workers

@@ -191,7 +191,7 @@ class TestExecCli:
         assert args.announce_interval == 5.0
 
     def test_backend_flags_parse_on_campaign_commands(self):
-        for command in ("fig15b", "join", "sweep", "churn"):
+        for command in ("fig15b", "reproduce", "join", "sweep", "churn"):
             args = build_parser().parse_args(
                 [command, "--backend", "pool"]
             )
