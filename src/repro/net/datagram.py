@@ -310,19 +310,19 @@ class DatagramTransport(TransportBase):
     def send_lossy(self, dst: NodeId, message: Message) -> bool:
         """Like :meth:`send`; over UDP the lossy path *is* the normal
         path (probes to dead peers simply exhaust retries and are
-        accounted as drops).  Returns whether a send was attempted."""
-        self._dispatch(dst, message)
-        return True
+        accounted as drops).  Returns whether a send was attempted:
+        False only when :attr:`drop_filter` dropped the message."""
+        return self._dispatch(dst, message)
 
     @property
     def unacked_count(self) -> int:
         """Protocol datagrams currently in flight (sent, not acked)."""
         return len(self._unacked)
 
-    def _dispatch(self, dst: NodeId, message: Message) -> None:
+    def _dispatch(self, dst: NodeId, message: Message) -> bool:
         if self.drop_filter is not None and self.drop_filter(message, dst):
             self._drop(dst, message)
-            return
+            return False
         self.stats.on_send(message)
         if self._tracer is not None:
             self._trace_send(dst, message)
@@ -330,7 +330,7 @@ class DatagramTransport(TransportBase):
             # Self-delivery short-circuits the socket but still goes
             # through the mailbox for handler atomicity.
             self.runtime.schedule(0.0, self._deliver, message)
-            return
+            return True
         seq = self._next_seq
         self._next_seq = seq + 1
         data = encode_frame(msg_frame(seq, message))
@@ -340,6 +340,7 @@ class DatagramTransport(TransportBase):
             self._transmit(pending)
         else:
             self._queue_unresolved(dst, pending)
+        return True
 
     def _transmit(self, pending: _Pending) -> None:
         addr = self.peers.get(pending.dst)

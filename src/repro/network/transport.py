@@ -15,7 +15,7 @@ trace path, so the two transports differ only in their wire.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.ids.digits import NodeId
 from repro.network.message import Message
@@ -186,12 +186,12 @@ class Transport(TransportBase):
         )
         self.latency_model = latency_model
         # Bound once: stats is never swapped after construction, and
-        # send() runs once per message in the whole simulation.
+        # on_send runs once per message in the whole simulation.
         self._on_send = self.stats.on_send
-        self._nodes: Dict[NodeId, "NetworkNode"] = {}
-        # Bound method of the (never-rebound) registry dict: saves an
-        # attribute hop on every send.
-        self._nodes_get = self._nodes.get
+        # The registry, keyed by packed ID: one network shares one ID
+        # space, so the packed forms are unique, and an int key hashes
+        # in C where a NodeId key pays a Python ``__hash__`` per send.
+        self._nodes: Dict[int, "NetworkNode"] = {}
         # Pairwise latency memo, only for models whose (src, dst) delay
         # is a pure function of the pair (topology shortest paths,
         # constant delay).  Jittered models draw per message and must
@@ -203,16 +203,16 @@ class Transport(TransportBase):
 
     def register(self, node: "NetworkNode") -> None:
         """Register ``node`` as reachable at its ID."""
-        if node.node_id in self._nodes:
+        key = node.node_id._packed
+        if key in self._nodes:
             raise ValueError(f"node {node.node_id} already registered")
-        self._nodes[node.node_id] = node
+        self._nodes[key] = node
 
     def unregister(self, node_id: NodeId) -> None:
         """Remove a departed node; later sends to it raise loudly,
         surfacing dangling-pointer bugs in membership protocols."""
-        if node_id not in self._nodes:
+        if self._nodes.pop(node_id._packed, None) is None:
             raise UnknownDestinationError(str(node_id))
-        del self._nodes[node_id]
 
     def clear(self) -> None:
         """Unregister every node (the owning network's teardown: the
@@ -222,43 +222,53 @@ class Transport(TransportBase):
     def node(self, node_id: NodeId) -> "NetworkNode":
         """The registered node object for ``node_id`` (raises if unknown)."""
         try:
-            return self._nodes[node_id]
+            return self._nodes[node_id._packed]
         except KeyError:
             raise UnknownDestinationError(str(node_id)) from None
 
     def knows(self, node_id: NodeId) -> bool:
         """True iff ``node_id`` is currently registered."""
-        return node_id in self._nodes
+        return node_id._packed in self._nodes
 
     @property
-    def node_ids(self):
-        """Registered node IDs as a live, read-only view (no copy).
-
-        Iterating or membership-testing is O(1)-per-step on the dict's
-        keys; callers that need a materialized list or set should build
-        one themselves.
-        """
-        return self._nodes.keys()
+    def node_ids(self) -> List[NodeId]:
+        """Registered node IDs, in registration order (a new list)."""
+        return [node.node_id for node in self._nodes.values()]
 
     def send(self, dst: NodeId, message: Message) -> None:
         """Send ``message`` to ``dst``; the sender is read off the
-        message.  Delivery is scheduled at ``now + latency(src, dst)``."""
-        target = self._nodes_get(dst)
+        message.  Delivery is scheduled at ``now + latency(src, dst)``.
+        An unregistered ``dst`` raises :class:`UnknownDestinationError`."""
+        self._deliver(dst, message, False)
+
+    def send_lossy(self, dst: NodeId, message: Message) -> bool:
+        """Like :meth:`send`, but silently drop messages to unknown
+        (crashed) destinations.  Used by the failure-recovery protocol,
+        whose probes must tolerate dead nodes.  Returns whether the
+        message was actually dispatched: False when it was dropped,
+        for a dead destination or by :attr:`drop_filter`."""
+        return self._deliver(dst, message, True)
+
+    def _deliver(self, dst: NodeId, message: Message, lossy: bool) -> bool:
+        """The one send path: one registry lookup, the drop filter,
+        accounting, then the delivery is scheduled.  Returns whether
+        the message was dispatched."""
+        target = self._nodes.get(dst._packed)
         if target is None:
-            raise UnknownDestinationError(str(dst))
+            if not lossy:
+                raise UnknownDestinationError(str(dst))
+            self._drop(dst, message)
+            return False
         if self.drop_filter is not None and self.drop_filter(message, dst):
             self._drop(dst, message)
-            return
+            return False
         self._on_send(message)
         src = message.sender
         memo = self._latency_memo
         if memo is None:
             delay = self.latency_model.latency(src, dst)
         else:
-            # Packed-int pair key: one network shares one ID space, so
-            # the packed forms are unique, and hashing two ints stays
-            # in C (a (src, dst) NodeId tuple pays two __hash__ calls
-            # per send).
+            # Packed-int pair key, for the same reason as the registry.
             key = (src._packed, dst._packed)
             delay = memo.get(key)
             if delay is None:
@@ -271,14 +281,4 @@ class Transport(TransportBase):
             self.runtime.schedule(
                 delay, lambda msg: self._receive_traced(target, msg), message
             )
-
-    def send_lossy(self, dst: NodeId, message: Message) -> bool:
-        """Like :meth:`send`, but silently drop messages to unknown
-        (crashed) destinations.  Used by the failure-recovery protocol,
-        whose probes must tolerate dead nodes.  Returns whether the
-        message was actually dispatched."""
-        if dst not in self._nodes:
-            self._drop(dst, message)
-            return False
-        self.send(dst, message)
         return True

@@ -6,10 +6,11 @@ dedicated token (:data:`MEASURE`); the
 routes those pongs here.
 
 Suffix-class tests use the packed ``(key, mask)`` form of
-:mod:`repro.ids.packed`, as in the recovery mixin.  A measured pong
-reads only the cells its candidate fits -- ``(L, owner[L])`` for ``L <
-k = csuf(candidate, owner)``, then ``(k, candidate[k])`` -- from the
-live table: no memo, so no validity stamp.
+:mod:`repro.ids.packed`, and node identity tests compare packed IDs,
+as in the recovery mixin.  A measured pong reads only the cells its
+candidate fits -- ``(L, owner[L])`` for ``L < k = csuf(candidate,
+owner)``, then ``(k, candidate[k])`` -- from the live table: no memo,
+so no validity stamp.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class _OptimizationState:
     def __init__(self) -> None:
         # position -> (best RTT seen, best candidate)
         self.best: Dict[Position, Tuple[float, NodeId]] = {}
-        self.measured: Set[NodeId] = set()
+        # Packed IDs of the candidates pinged this round.
+        self.measured: Set[int] = set()
 
 
 class OptimizationMixin:
@@ -68,11 +70,11 @@ class OptimizationMixin:
         suffix = msg.suffix
         me = self.node_id
         key, mask = suffix_pattern(suffix, me._base, len(me._digits))
-        sender = msg.sender
+        skip = (msg.sender._packed, me._packed)
         candidates = [me] if me._packed & mask == key else []
         candidates += [
             n for n in self.table.distinct_neighbors()
-            if n._packed & mask == key and n != sender and n != me
+            if n._packed & mask == key and n._packed not in skip
         ]
         self.send(
             msg.sender,
@@ -86,11 +88,13 @@ class OptimizationMixin:
         return state
 
     def _on_opt_find_rly(self, msg: OptFindRlyMsg) -> None:
-        measured = self._optimization_state().measured
+        measured = (self._opt or self._optimization_state()).measured
+        me = self.node_id._packed
         for candidate in msg.candidates:
-            if candidate == self.node_id or candidate in measured:
+            packed = candidate._packed
+            if packed == me or packed in measured:
                 continue
-            measured.add(candidate)
+            measured.add(packed)
             self.send(
                 candidate, PingMsg(self.node_id, self.now, token=MEASURE)
             )
@@ -98,8 +102,9 @@ class OptimizationMixin:
     def _on_measured_pong(self, msg: PongMsg) -> None:
         rtt = self.now - msg.sent_at
         candidate = msg.sender
-        best_of = self._optimization_state().best
+        best_of = (self._opt or self._optimization_state()).best
         me = self.node_id
+        me_packed = me._packed
         digits = me._digits
         k = me.csuf_len(candidate)
         fits = [(level, digits[level]) for level in range(k)]
@@ -109,7 +114,7 @@ class OptimizationMixin:
         base = self.table.base
         for position in fits:
             node = cells[position[0] * base + position[1]]
-            if node is None or node == me:
+            if node is None or node._packed == me_packed:
                 continue
             best = best_of.get(position)
             if best is None or rtt < best[0]:

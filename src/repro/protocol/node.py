@@ -81,6 +81,22 @@ _LOWBIT_K = {
 }
 
 
+class _PackedIdView:
+    """A set of packed IDs seen as a set of NodeIds (``add`` and
+    ``in``): how :attr:`ProtocolNode.q_notified` presents ``Q_n``."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: Set[int]) -> None:
+        self.packed = packed
+
+    def add(self, node_id: NodeId) -> None:
+        self.packed.add(node_id._packed)
+
+    def __contains__(self, node_id: NodeId) -> bool:
+        return node_id._packed in self.packed
+
+
 class _JoinQueues:
     """Figure 3's ``Q_r``, ``Q_n``, ``Q_j``, ``Q_sr`` and ``Q_sn``."""
 
@@ -88,7 +104,10 @@ class _JoinQueues:
 
     def __init__(self) -> None:
         self.reply: Set[NodeId] = set()
-        self.notified: Set[NodeId] = set()
+        # Q_n holds packed IDs: _check_ngh_table tests it once per
+        # snapshot entry, and an int set answers in C where a NodeId
+        # set calls ``NodeId.__hash__`` per probe.
+        self.notified: Set[int] = set()
         self.joinwait: Set[NodeId] = set()
         self.spe_reply: Set[NodeId] = set()
         self.spe_sent: Set[NodeId] = set()
@@ -206,7 +225,9 @@ class ProtocolNode(
         return queues
 
     q_reply = property(lambda self: self._join_queues().reply)
-    q_notified = property(lambda self: self._join_queues().notified)
+    q_notified = property(
+        lambda self: _PackedIdView(self._join_queues().notified)
+    )
     q_joinwait = property(lambda self: self._join_queues().joinwait)
     q_spe_reply = property(lambda self: self._join_queues().spe_reply)
     q_spe_sent = property(lambda self: self._join_queues().spe_sent)
@@ -227,7 +248,7 @@ class ProtocolNode(
         :meth:`~repro.routing.table.NeighborTable.fill_empty` applies.
         """
         self.table.fill_empty(level, digit, node, state)
-        if node != self.node_id:
+        if node._packed != self.node_id._packed:
             self.send(node, RvNghNotiMsg(self.node_id, level, digit, state))
 
     def _csuf(self, other: NodeId) -> int:
@@ -299,7 +320,7 @@ class ProtocolNode(
         target = p if g is None else g
         self.send(target, JoinWaitMsg(self.node_id))
         queues = self._join_queues()
-        queues.notified.add(target)
+        queues.notified.add(target._packed)
         queues.reply.add(target)
 
     # ------------------------------------------------------------------
@@ -348,7 +369,7 @@ class ProtocolNode(
         else:
             u = msg.referral
             self.send(u, JoinWaitMsg(self.node_id))
-            queues.notified.add(u)
+            queues.notified.add(u._packed)
             queues.reply.add(u)
         self._check_ngh_table(msg.table)
         if (
@@ -374,9 +395,10 @@ class ProtocolNode(
         # _send_join_noti mutates).
         notifying = self.status is NodeStatus.NOTIFYING
         noti_level = self.noti_level
-        # Q_n is consulted while notifying only; members that merely
-        # receive a table must not grow queues by being asked.
-        q_notified = self.q_notified if notifying else ()
+        # Q_n (as packed IDs) is consulted while notifying only;
+        # members that merely receive a table must not grow queues by
+        # being asked.
+        q_notified = self._join_queues().notified if notifying else ()
         table = self.table
         own_packed = self.node_id._packed
         base = table.base
@@ -458,7 +480,7 @@ class ProtocolNode(
                 else:
                     if len(bucket) < bcap and u not in bucket:
                         bucket.append(u)
-            if k >= noti_level and u not in q_notified:
+            if k >= noti_level and up not in q_notified:
                 self._send_join_noti(u, k)
 
     def _send_join_noti(self, target: NodeId, csuf_len: int) -> None:
@@ -476,7 +498,7 @@ class ProtocolNode(
             ),
         )
         queues = self._join_queues()
-        queues.notified.add(target)
+        queues.notified.add(target._packed)
         queues.reply.add(target)
 
     # ------------------------------------------------------------------

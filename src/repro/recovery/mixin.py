@@ -10,7 +10,9 @@ Suffix-class tests run on packed IDs: a suffix (a repair request's
 tuple or one of our own table positions) becomes one ``(key, mask)``
 pair (:func:`~repro.ids.packed.suffix_pattern`,
 :func:`~repro.ids.packed.entry_pattern`), and "``n`` ends with it" is
-``n._packed & mask == key`` -- no tuple slices per candidate.
+``n._packed & mask == key`` -- no tuple slices per candidate.  Node
+identity tests (who to skip, who was seen) compare packed IDs too:
+ints hash and compare in C, NodeIds through Python methods.
 
 A node answers each repair suffix once per view of its table: the memo
 of answers is valid while ``(table.version, len(known_live))`` holds,
@@ -58,7 +60,8 @@ class _RecoveryState:
         self.detection_timer: Optional[TimerHandle] = None
         self.suspected: Dict[Position, NodeId] = {}
         self.repair_pending: Set[Position] = set()
-        self.repair_seen: Set[Tuple[NodeId, Tuple[int, ...]]] = set()
+        # (packed origin, suffix) of every forwarded search seen.
+        self.repair_seen: Set[Tuple[int, Suffix]] = set()
         self.known_live: Set[NodeId] = set()
         # suffix -> (own ID matches, sorted matching others)
         self.answers: Dict[Suffix, Tuple[bool, Tuple[NodeId, ...]]] = {}
@@ -107,7 +110,7 @@ class RecoveryMixin:
         state = self._recovery_state()
         state.detection_done = False
         state.repair_seen = set()
-        targets = self.table.distinct_neighbors()
+        targets = self.table.new_neighbor_set()
         targets |= self.table.all_reverse_neighbors()
         targets.discard(self.node_id)
         state.ping_outstanding = set()
@@ -157,9 +160,11 @@ class RecoveryMixin:
     def begin_advertise(self) -> None:
         """Push our existence to every (believed-live) forward
         neighbor; see :class:`~repro.recovery.messages.AdvertiseMsg`."""
-        dead = set(self._recovery_state().suspected.values())
+        suspected = self._recovery_state().suspected
+        skip = {dead._packed for dead in suspected.values()}
+        skip.add(self.node_id._packed)
         for neighbor in self.table.distinct_neighbors():
-            if neighbor == self.node_id or neighbor in dead:
+            if neighbor._packed in skip:
                 continue
             self.transport.send_lossy(
                 neighbor, AdvertiseMsg(self.node_id)
@@ -201,11 +206,12 @@ class RecoveryMixin:
         if not state.suspected:
             return
         state.repair_pending = set(state.suspected)
-        dead = set(state.suspected.values())
+        skip = {dead._packed for dead in state.suspected.values()}
+        skip.add(self.node_id._packed)
         live_neighbors = {
             neighbor
             for neighbor in self.table.distinct_neighbors()
-            if neighbor not in dead and neighbor != self.node_id
+            if neighbor._packed not in skip
         }
         for position in state.repair_pending:
             # Own backups first (footnote 6): verify them by ping and
@@ -229,7 +235,7 @@ class RecoveryMixin:
     def _on_repair_find(self, msg: RepairFindMsg) -> None:
         suffix = msg.suffix
         me = self.node_id
-        state = self._recovery_state()
+        state = self._recovery or self._recovery_state()
         stamp = (self.table._version, len(state.known_live))
         if stamp != state.answers_stamp:
             state.answers, state.answers_stamp = {}, stamp
@@ -237,17 +243,24 @@ class RecoveryMixin:
         if answer is None:
             key, mask = suffix_pattern(suffix, me._base, len(me._digits))
             known = self.table.distinct_neighbors() | state.known_live
-            known.discard(me)
             # Filter, then sort the few matches (same order as filtering
             # the sorted set: the digit tuples are distinct).
-            matches = [n for n in known if n._packed & mask == key]
+            own = me._packed
+            matches = [
+                n for n in known
+                if n._packed & mask == key and n._packed != own
+            ]
             answer = state.answers[suffix] = (
                 me._packed & mask == key,
                 tuple(sorted(matches, key=_by_digits)),
             )
         origin = msg.origin
+        origin_packed = origin._packed
         candidates = [me] if answer[0] else []
-        candidates += [n for n in answer[1] if n != origin]
+        if answer[1]:
+            candidates += [
+                n for n in answer[1] if n._packed != origin_packed
+            ]
         if candidates:
             self.transport.send_lossy(
                 msg.origin,
@@ -257,12 +270,13 @@ class RecoveryMixin:
         # (possibly dead themselves), so the search must not stop at
         # the first node that merely *names* class members.
         if msg.ttl > 0:
-            key = (msg.origin, suffix)
+            key = (origin_packed, suffix)
             if key in state.repair_seen:
                 return
             state.repair_seen.add(key)
+            skip = (me._packed, origin_packed, msg.sender._packed)
             for neighbor in self.table.distinct_neighbors():
-                if neighbor in (self.node_id, msg.origin, msg.sender):
+                if neighbor._packed in skip:
                     continue
                 self.transport.send_lossy(
                     neighbor,
@@ -274,8 +288,9 @@ class RecoveryMixin:
     def _on_repair_find_rly(self, msg: RepairFindRlyMsg) -> None:
         # Verify each candidate by pinging it; installation happens on
         # the pong (the candidate may itself be dead).
+        me = self.node_id._packed
         for candidate in msg.candidates:
-            if candidate == self.node_id:
+            if candidate._packed == me:
                 continue
             self.transport.send_lossy(
                 candidate, PingMsg(self.node_id, self.now, token=VERIFY)
@@ -325,7 +340,8 @@ class RecoveryMixin:
 
     def _on_pong(self, msg: PongMsg) -> None:
         if msg.token == DETECT:
-            self._recovery_state().ping_outstanding.discard(msg.sender)
+            state = self._recovery or self._recovery_state()
+            state.ping_outstanding.discard(msg.sender)
         elif msg.token == VERIFY:
             self._install_repair(msg.sender)
         else:

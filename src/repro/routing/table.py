@@ -32,7 +32,9 @@ constraint (they derive ``(level, digit)`` from ``csuf`` directly).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 from repro.ids.digits import NodeId
 from repro.routing.entry import NeighborState, TableEntry
@@ -74,7 +76,7 @@ class NeighborTable:
 
     __slots__ = (
         "owner", "base", "num_levels", "_cells", "_states", "_positions",
-        "_entries", "_reverse", "_snapshot", "_version",
+        "_entries", "_reverse", "_snapshot", "_version", "_distinct",
     )
 
     def __init__(self, owner: NodeId):
@@ -105,6 +107,8 @@ class NeighborTable:
         #: Bumped on every entry/state mutation; the incremental
         #: consistency checker uses it as a dirty marker.
         self._version = 0
+        # (version, distinct_neighbors() as built at that version).
+        self._distinct: Optional[Tuple[int, FrozenSet[NodeId]]] = None
 
     # -- basic access -------------------------------------------------
 
@@ -417,10 +421,27 @@ class NeighborTable:
         """Number of filled entries."""
         return len(self._positions)
 
-    def distinct_neighbors(self) -> Set[NodeId]:
-        """The distinct nodes stored anywhere in the table."""
-        cells = self._cells
-        return {cells[idx] for idx in self._positions}
+    def distinct_neighbors(self) -> FrozenSet[NodeId]:
+        """The distinct nodes stored anywhere in the table.
+
+        Cached per :attr:`version`, like :meth:`snapshot`: callers
+        share one frozen set until the table changes.  Senders iterate
+        it, and it iterates exactly as :meth:`new_neighbor_set` does:
+        both insert the cells one by one in position order.
+        """
+        cached = self._distinct
+        if cached is None or cached[0] != self._version:
+            cached = self._distinct = (
+                self._version,
+                frozenset(map(self._cells.__getitem__, self._positions)),
+            )
+        return cached[1]
+
+    def new_neighbor_set(self) -> Set[NodeId]:
+        """A new, mutable set of the distinct neighbors, iterating as
+        :meth:`distinct_neighbors` does.  (``set(distinct_neighbors())``
+        may not: a copy of a set is laid out afresh.)"""
+        return set(map(self._cells.__getitem__, self._positions))
 
     def snapshot(self) -> TableSnapshot:
         """Immutable copy of the filled entries, for message payloads.

@@ -12,7 +12,10 @@ reaches the third element.  That uniqueness also lets the queue mix in
 bare ``(time, seq, action, payload)`` 4-tuples for fire-and-forget
 scheduling (:meth:`EventQueue.push_fire`): message deliveries dominate
 a simulation's schedule volume and are never cancelled, so they skip
-the :class:`Event` allocation entirely.
+the :class:`Event` allocation entirely.  The simulator pushes those
+straight onto :attr:`EventQueue.heap` and pops inline (see
+:meth:`repro.sim.scheduler.Simulator.run`); what popping an entry
+means is defined once, by :meth:`EventQueue.retire`.
 
 The queue is one binary heap.  Two devices keep it cheap at scale,
 both invisible to pop order:
@@ -30,6 +33,7 @@ both invisible to pop order:
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 #: Sentinel stored in ``Event.queue`` once the event has been popped
@@ -103,16 +107,22 @@ class Event:
 
 
 class EventQueue:
-    """A stable min-heap of events."""
+    """A stable min-heap of events.
+
+    ``heap`` and ``seq`` are the raw structures: a scheduler that
+    pushes fire-and-forget entries itself does
+    ``heappush(queue.heap, (time, next(queue.seq), action, payload))``,
+    exactly what :meth:`push_fire` does.  Both objects live as long as
+    the queue (compaction rebuilds the heap in place).
+    """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
-        self._next_seq = 0
-        # Live (non-cancelled) entry count, so __len__ is O(1); the
-        # scheduler reports queue depth after every event, which was
-        # quadratic when this required a heap scan.
-        self._live = 0
-        # Cancelled entries still sitting in the heap.
+        self.heap: List[tuple] = []
+        #: Sequence numbers in scheduling order (FIFO among equal times).
+        self.seq = count()
+        # Cancelled entries still sitting in the heap: the live count
+        # is ``len(heap) - _dead``, so pushes and pops of
+        # fire-and-forget entries need no bookkeeping at all.
         self._dead = 0
 
     # -- scheduling ----------------------------------------------------
@@ -124,12 +134,10 @@ class EventQueue:
         payload: Any = None,
     ) -> Event:
         """Schedule ``action`` at virtual time ``time``; returns the event."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        seq = next(self.seq)
         event = Event(time, seq, action, payload)
         event.queue = self
-        heappush(self._heap, (time, seq, event))
-        self._live += 1
+        heappush(self.heap, (time, seq, event))
         return event
 
     def push_fire(
@@ -139,13 +147,8 @@ class EventQueue:
         payload: Any = None,
     ) -> None:
         """Fire-and-forget schedule: no :class:`Event` handle, so the
-        entry cannot be cancelled.  The transport uses this for message
-        deliveries — the bulk of all scheduling — saving an object
-        allocation per send."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heappush(self._heap, (time, seq, action, payload))
-        self._live += 1
+        entry cannot be cancelled and costs no object allocation."""
+        heappush(self.heap, (time, next(self.seq), action, payload))
 
     def push_many(
         self,
@@ -161,19 +164,17 @@ class EventQueue:
         a heap's pop sequence is determined by its contents and
         ``(time, seq)`` is a total order.
         """
-        heap = self._heap
+        heap = self.heap
         events: List[Event] = []
-        seq = self._next_seq
+        counter = self.seq
         heaped = len(heap)
         for time, action, payload in entries:
+            seq = next(counter)
             event = Event(time, seq, action, payload)
             event.queue = self
             events.append(event)
             heap.append((time, seq, event))
-            seq += 1
-        self._next_seq = seq
         added = len(events)
-        self._live += added
         if added:
             if added > heaped // 2:
                 heapify(heap)
@@ -186,25 +187,29 @@ class EventQueue:
 
     # -- draining ------------------------------------------------------
 
+    def retire(self, event: Event) -> bool:
+        """Account a popped :class:`Event` entry: False for a cancelled
+        one (a tombstone, to be skipped), True for a live one, which
+        from now on ignores ``cancel()``.  Fire-and-forget entries
+        need no retiring: popping them is all there is."""
+        if event.cancelled:
+            self._dead -= 1
+            return False
+        event.queue = _DONE
+        return True
+
     def pop_entry(self) -> Optional[tuple]:
         """Remove and return the earliest live entry, or None.
 
-        The raw-tuple fast path for run loops: returns either a
-        ``(time, seq, event)`` or a fire-and-forget ``(time, seq,
-        action, payload)`` entry (discriminate on ``len``), skipping
-        cancelled events.
+        Returns either a ``(time, seq, event)`` or a fire-and-forget
+        ``(time, seq, action, payload)`` entry (discriminate on
+        ``len``), skipping cancelled events.
         """
-        heap = self._heap
+        heap = self.heap
         while heap:
             entry = heappop(heap)
-            if len(entry) == 3:
-                event = entry[2]
-                if event.cancelled:
-                    self._dead -= 1
-                    continue
-                event.queue = _DONE  # later cancel() is a no-op
-            self._live -= 1
-            return entry
+            if len(entry) == 4 or self.retire(entry[2]):
+                return entry
         return None
 
     def pop(self) -> Optional[Event]:
@@ -224,7 +229,7 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None if empty."""
-        heap = self._heap
+        heap = self.heap
         while heap:
             head = heap[0]
             if len(head) == 3 and head[2].cancelled:
@@ -240,25 +245,23 @@ class EventQueue:
         """Account a lazily-cancelled entry; compact when tombstones
         outnumber live events (and exceed :data:`_COMPACT_MIN_DEAD`),
         so a schedule-and-cancel workload keeps O(live) memory."""
-        self._live -= 1
         dead = self._dead + 1
-        if dead > _COMPACT_MIN_DEAD and dead > self._live:
+        if dead > _COMPACT_MIN_DEAD and dead > len(self.heap) - dead:
             self._compact()
         else:
             self._dead = dead
 
     def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify.
+        """Drop every cancelled entry and re-heapify, in place (a
+        running drain holds the heap list).
 
         O(total entries), amortized O(1) per cancel by the doubling
         threshold in :meth:`note_cancelled`.  Relative order of the
         survivors is untouched — the heap's pop sequence depends only
         on its contents."""
-        live_heap = [
-            e for e in self._heap if len(e) == 4 or not e[2].cancelled
-        ]
-        heapify(live_heap)
-        self._heap = live_heap
+        heap = self.heap
+        heap[:] = [e for e in heap if len(e) == 4 or not e[2].cancelled]
+        heapify(heap)
         self._dead = 0
 
     # -- introspection -------------------------------------------------
@@ -269,7 +272,7 @@ class EventQueue:
         return self._dead
 
     def __len__(self) -> int:
-        return self._live
+        return len(self.heap) - self._dead
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

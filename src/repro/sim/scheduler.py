@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.runtime.collector import collector_paused
@@ -36,13 +38,20 @@ class Simulator:
     name = "sim"
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        self._set_queue(EventQueue())
         self._now = 0.0
         self._events_fired = 0
         self._running = False
         #: Optional observability hook called as ``cb(now, pending)``
         #: after each event fires (see repro.obs.SchedulerProbe).
         self.on_event_fired: Optional[Callable[[float, int], None]] = None
+
+    def _set_queue(self, queue: EventQueue) -> None:
+        self._queue = queue
+        # The queue's heap and sequence counter, for the inline push
+        # in schedule_fire (both live as long as the queue does).
+        self._heap = queue.heap
+        self._seq = queue.seq
 
     @property
     def now(self) -> float:
@@ -97,15 +106,18 @@ class Simulator:
     ) -> None:
         """Schedule ``action`` with no cancellation handle.
 
-        The fire-and-forget fast path (see
-        :meth:`repro.sim.events.EventQueue.push_fire`): identical
-        firing semantics to :meth:`schedule`, but returns nothing, so
-        the queue skips the per-entry :class:`Event` allocation.  Hot
-        senders (the transport) use this for message deliveries.
+        The fire-and-forget fast path: identical firing semantics to
+        :meth:`schedule`, but returns nothing, so the entry is a bare
+        ``(time, seq, action, payload)`` tuple pushed straight onto the
+        queue's heap (what :meth:`EventQueue.push_fire
+        <repro.sim.events.EventQueue.push_fire>` does, minus a call).
+        The transport schedules every message delivery here.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._queue.push_fire(self._now + delay, action, payload)
+        heappush(
+            self._heap, (self._now + delay, next(self._seq), action, payload)
+        )
 
     def schedule_at(
         self,
@@ -161,65 +173,45 @@ class Simulator:
             return self._drain(until, max_events)
 
     def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """The body of :meth:`run`, with the collector already paused."""
+        """The body of :meth:`run`, with the collector already paused.
+
+        Pops inline: a fire-and-forget ``(time, seq, action, payload)``
+        entry (every message delivery) fires as it is; a ``(time, seq,
+        event)`` entry goes through :meth:`EventQueue.retire
+        <repro.sim.events.EventQueue.retire>` first, which skips
+        cancelled timers.  The limit and listener checks are local
+        tests, so the unbounded, unobserved drain every experiment
+        takes pays a few bytecodes per event for them and no call.
+        """
         self._running = True
         fired = 0
         on_event_fired = self.on_event_fired
-        # The loop below fires millions of events in a large run; bind
-        # the queue methods once so each iteration pays plain LOAD_FAST
-        # lookups instead of repeated attribute chains.
         queue = self._queue
-        peek_time = queue.peek_time
-        pop_entry = queue.pop_entry
+        heap = queue.heap
+        retire = queue.retire
+        limit = sys.maxsize if max_events is None else max_events
         try:
-            if until is None and max_events is None and on_event_fired is None:
-                # Unbounded, unobserved drain — the run-to-quiescence
-                # path every experiment takes.  Same semantics as the
-                # general loop below with the per-iteration limit and
-                # listener checks removed, and the events_fired counter
-                # accumulated locally.
-                while True:
-                    entry = pop_entry()
-                    if entry is None:
-                        break
+            while heap and fired < limit:
+                if until is not None and heap[0][0] > until:
+                    break
+                entry = heappop(heap)
+                if len(entry) == 4:
                     self._now = entry[0]
-                    if len(entry) == 3:
-                        entry[2].fire()
-                    else:
-                        payload = entry[3]
-                        if payload is None:
-                            entry[2]()
-                        else:
-                            entry[2](payload)
-                    fired += 1
-                self._events_fired += fired
-                return fired
-            while True:
-                if max_events is not None and fired >= max_events:
-                    break
-                if until is not None:
-                    next_time = peek_time()
-                    if next_time is None or next_time > until:
-                        break
-                # Raw heap entries: (time, seq, event) or the
-                # fire-and-forget (time, seq, action, payload).
-                entry = pop_entry()
-                if entry is None:
-                    break
-                self._now = entry[0]
-                if len(entry) == 3:
-                    entry[2].fire()
-                else:
                     payload = entry[3]
                     if payload is None:
                         entry[2]()
                     else:
                         entry[2](payload)
+                elif retire(entry[2]):
+                    self._now = entry[0]
+                    entry[2].fire()
+                else:
+                    continue
                 fired += 1
-                self._events_fired += 1
                 if on_event_fired is not None:
                     on_event_fired(self._now, len(queue))
         finally:
+            self._events_fired += fired
             self._running = False
         if until is not None and self._now < until and not self._queue:
             # Advance the clock to the bound so repeated bounded runs
@@ -231,7 +223,7 @@ class Simulator:
         """Drop every pending event unfired (the owning network's
         teardown: pending events are the queue's only references to
         the simulation's nodes)."""
-        self._queue = EventQueue()
+        self._set_queue(EventQueue())
 
     def quiesced(self) -> bool:
         """True when no live events remain."""

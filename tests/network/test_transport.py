@@ -99,6 +99,32 @@ class TestTransport:
         assert ("ping", 2.0) in a.received
 
 
+class TestLossySend:
+    """``send_lossy`` returns whether the message was dispatched."""
+
+    def test_live_destination_is_dispatched(self):
+        sim, transport, a, b = make_pair()
+        assert transport.send_lossy(b.node_id, Ping(a.node_id)) is True
+        sim.run()
+        assert b.received == [("ping", 2.0)]
+
+    def test_dead_destination_is_dropped(self):
+        sim, transport, a, b = make_pair()
+        dead = SPACE.from_string("3333")
+        assert transport.send_lossy(dead, Ping(a.node_id)) is False
+        assert transport.stats.total_dropped == 1
+        assert transport.stats.total_messages == 0
+
+    def test_filtered_message_is_not_reported_sent(self):
+        sim, transport, a, b = make_pair()
+        transport.drop_filter = lambda message, dst: True
+        assert transport.send_lossy(b.node_id, Ping(a.node_id)) is False
+        sim.run()
+        assert b.received == []
+        assert transport.stats.total_dropped == 1
+        assert transport.stats.total_messages == 0
+
+
 class TestMessageEventSchema:
     """The ``message.*`` attributes a traced in-memory join writes,
     including a ``drop_filter`` drop and a lossy send to a node that

@@ -57,28 +57,61 @@ class TestCancelBeforeFire:
         assert node.suspected_positions == expected
 
 
+def _sweep(net, node, monkeypatch):
+    """Start ``node``'s detection sweep; returns ``(expected, pinged,
+    ping_sends, drops)``: every distinct forward and reverse neighbor,
+    the destinations handed to ``send_lossy``, and by how much the
+    ``PingMsg`` sent count and the dropped total rose."""
+    pinged = []
+    send_lossy = net.transport.send_lossy
+    monkeypatch.setattr(
+        net.transport, "send_lossy",
+        lambda dst, msg: pinged.append(dst) or send_lossy(dst, msg),
+    )
+    stats = net.stats
+    pings, dropped = stats.count("PingMsg"), stats.total_dropped
+    node.begin_failure_detection(timeout=10_000.0)
+    expected = (
+        node.table.distinct_neighbors()
+        | node.table.all_reverse_neighbors()
+    ) - {node.node_id}
+    return (
+        expected, pinged,
+        stats.count("PingMsg") - pings, stats.total_dropped - dropped,
+    )
+
+
 class TestSweepTargets:
     def test_sweep_pings_every_forward_and_reverse_neighbor(
         self, monkeypatch
     ):
         net, ids = _network(seed=7)
         node = net.nodes[ids[0]]
-        pinged, sent = [], []
-        for name, log in (("send_lossy", pinged), ("send", sent)):
-            method = getattr(net.transport, name)
-            monkeypatch.setattr(
-                net.transport, name,
-                lambda dst, msg, method=method, log=log: (
-                    log.append(dst) or method(dst, msg)
-                ),
-            )
-        node.begin_failure_detection(timeout=10_000.0)
-        expected = (
-            node.table.distinct_neighbors()
-            | node.table.all_reverse_neighbors()
-        ) - {node.node_id}
+        expected, pinged, ping_sends, drops = _sweep(net, node, monkeypatch)
         assert expected and sorted(pinged) == sorted(expected)
-        assert sent == pinged  # every probe went out lossily
+        # Every probe went out: one PingMsg accounted per neighbor,
+        # none dropped.
+        assert ping_sends == len(expected)
+        assert drops == 0
+
+    def test_a_dropped_probe_shows_in_the_counts(self, monkeypatch):
+        """The check above fails when one live neighbor's probe is lost."""
+        net, ids = _network(seed=7)
+        node = net.nodes[ids[0]]
+        lost = []
+
+        def drop_first_ping(message, dst):
+            if type(message).__name__ == "PingMsg" and not lost:
+                lost.append(dst)
+                return True
+            return False
+
+        net.transport.drop_filter = drop_first_ping
+        expected, pinged, ping_sends, drops = _sweep(net, node, monkeypatch)
+        assert lost and lost[0] in expected and net.transport.knows(lost[0])
+        assert sorted(pinged) == sorted(expected)
+        assert ping_sends == len(expected) - 1
+        assert drops == 1
 
     def test_unanswered_sweep_suspects_every_neighbor(self):
         net, ids = _network(seed=8)
