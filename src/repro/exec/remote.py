@@ -63,6 +63,7 @@ from repro.exec.backend import ExecutionBackend, ExecutionError
 from repro.exec.registry import task_name
 from repro.exec.taskcodec import decode_task_value, encode_task_value
 from repro.net.control import ControlClient
+from repro.net.rendezvous import read_directory
 from repro.net.wire import Address, parse_hostport
 from repro.obs.metrics import MetricsRegistry
 
@@ -97,14 +98,11 @@ def discover_workers(
 ) -> List[Address]:
     """Live ``kind="worker"`` registrations in the rendezvous
     directory, sorted by id for a deterministic dispatch order."""
-    body = client.try_request(rendezvous, "directory")
-    rows: List[Tuple[str, Address]] = []
-    for entry in (body or {}).get("nodes") or []:
-        kind = entry[3] if len(entry) > 3 else "node"
-        if kind != "worker":
-            continue
-        addr = entry[1]
-        rows.append((str(entry[0]), (addr[0], addr[1])))
+    rows = [
+        (str(id_wire), addr)
+        for id_wire, addr, kind in read_directory(client, rendezvous)
+        if kind == "worker"
+    ]
     rows.sort(key=lambda row: row[0])
     return [addr for _, addr in rows]
 

@@ -56,7 +56,6 @@ from repro.net.wire import (
     node_id_from_wire,
     table_from_wire,
 )
-from repro.obs.causality import CausalForest
 from repro.obs.export import write_trace_records
 from repro.obs.report import RunReport
 
@@ -152,7 +151,6 @@ class ClusterConfig:
         fault_seed: int = 1,
         time_scale: float = 0.001,
         converge_timeout: float = DEFAULT_CONVERGE_TIMEOUT,
-        python: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
     ):
         if nodes < 2:
@@ -170,7 +168,6 @@ class ClusterConfig:
         self.fault_seed = fault_seed
         self.time_scale = time_scale
         self.converge_timeout = converge_timeout
-        self.python = python or sys.executable
         self.telemetry_dir = telemetry_dir
 
 
@@ -212,7 +209,7 @@ class _ClusterHarness:
     def _spawn_rendezvous(self) -> _Proc:
         proc = _Proc(
             "rendezvous",
-            [self.config.python, "-m", "repro", "rendezvous",
+            [sys.executable, "-m", "repro", "rendezvous",
              "--listen", "127.0.0.1:0"],
         )
         proc.wait_ready()
@@ -221,7 +218,7 @@ class _ClusterHarness:
     def _spawn_node(self, name: str, seed_node: bool = False) -> _Proc:
         config = self.config
         argv = [
-            config.python, "-m", "repro", "node",
+            sys.executable, "-m", "repro", "node",
             "--listen", "127.0.0.1:0",
             "--rendezvous", format_hostport(self.rendezvous.addr),
             "--base", str(config.base),
@@ -328,8 +325,8 @@ class _ClusterHarness:
         traces, spans, events = collector.collect(addrs)
         trace_path = os.path.join(out_dir, "merged-trace.jsonl")
         records = write_trace_records(spans, events, trace_path)
-        forest = CausalForest.from_event_records(events)
-        problems = forest.validate()
+        run_report = RunReport(spans, events)
+        forest = run_report.forest
         joins: Dict[str, Any] = {}
         for joiner, tree in sorted(forest.join_trees().items()):
             root_id = tree[0].msg_id
@@ -342,7 +339,6 @@ class _ClusterHarness:
                 ],
             }
         report_path = os.path.join(out_dir, "run-report.json")
-        run_report = RunReport(spans, events)
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(run_report.to_json_dict(), fh, indent=2,
                       sort_keys=True)
@@ -356,8 +352,8 @@ class _ClusterHarness:
             "daemons_expected": len(addrs),
             "complete": len(traces) == len(addrs),
             "clocks": clock_table(traces),
-            "causal_ok": not problems,
-            "causal_problems": problems[:20],
+            "causal_ok": not run_report.causal_problems,
+            "causal_problems": run_report.causal_problems[:20],
             "join_trees": joins,
         }
 

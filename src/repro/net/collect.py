@@ -34,6 +34,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.control import ControlClient
+from repro.net.rendezvous import read_directory
 from repro.net.wire import Address, node_id_from_wire
 from repro.obs.export import write_trace_records
 from repro.obs.remote import (
@@ -62,11 +63,8 @@ class TelemetryCollector:
     status polls, table pulls and telemetry collection).
     """
 
-    def __init__(
-        self, client: ControlClient, clock_samples: int = CLOCK_SAMPLES
-    ):
+    def __init__(self, client: ControlClient):
         self.client = client
-        self.clock_samples = max(1, clock_samples)
 
     # -- discovery ------------------------------------------------------
 
@@ -78,17 +76,13 @@ class TelemetryCollector:
 
         Directory rows registered with ``kind="worker"`` (sweep
         executors, which serve no ``clock``/``telemetry`` ops) are
-        skipped unless ``workers=True``; pre-kind rendezvous rows
-        (length 3) count as protocol nodes.
+        skipped unless ``workers=True``.
         """
-        body = self.client.try_request(rendezvous, "directory")
-        rows: List[Tuple[str, Address]] = []
-        for entry in (body or {}).get("nodes") or []:
-            id_wire, addr = entry[0], entry[1]
-            kind = entry[3] if len(entry) > 3 else "node"
-            if kind == "worker" and not workers:
-                continue
-            rows.append((str(node_id_from_wire(id_wire)), (addr[0], addr[1])))
+        rows = [
+            (str(node_id_from_wire(id_wire)), addr)
+            for id_wire, addr, kind in read_directory(self.client, rendezvous)
+            if workers or kind != "worker"
+        ]
         rows.sort(key=lambda row: row[0])
         return rows
 
@@ -100,7 +94,7 @@ class TelemetryCollector:
         ``time_scale`` anchor the daemon's protocol timeline."""
         samples: List[ClockSample] = []
         bodies: List[Dict[str, Any]] = []
-        for _ in range(self.clock_samples):
+        for _ in range(CLOCK_SAMPLES):
             # Wall clock on both ends: the daemon's ``clock`` op
             # reports ``time.time()``, so sampling against the same
             # clock family makes the offset a true daemon-vs-collector

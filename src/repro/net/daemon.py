@@ -75,6 +75,9 @@ EXIT_OK = 0
 EXIT_NO_GATEWAY = 3
 EXIT_BUDGET = 4
 
+#: Protocol-time interval between rendezvous re-announcements.
+HEARTBEAT = 500.0
+
 #: Protocol-time pause between gateway-discovery retries.
 DISCOVERY_RETRY_DELAY = 100.0
 MAX_DISCOVERY_ATTEMPTS = 20
@@ -97,7 +100,6 @@ class NodeDaemonConfig:
         bootstrap: Optional[Address] = None,
         seed_node: bool = False,
         time_scale: float = 0.001,
-        heartbeat: float = 500.0,
         wall_budget: Optional[float] = None,
         loss: float = 0.0,
         duplicate: float = 0.0,
@@ -119,7 +121,6 @@ class NodeDaemonConfig:
         self.bootstrap = bootstrap
         self.seed_node = seed_node
         self.time_scale = time_scale
-        self.heartbeat = heartbeat
         self.wall_budget = wall_budget
         self.loss = loss
         self.duplicate = duplicate
@@ -214,7 +215,7 @@ class NodeDaemon:
         self.node.on_departed = self._on_departed
         self._announce()
         self._heartbeat_timer = self.runtime.schedule(
-            self.config.heartbeat, self._heartbeat
+            HEARTBEAT, self._heartbeat
         )
         if not config.seed_node:
             self.runtime.schedule(0.0, self._find_gateway)
@@ -329,7 +330,7 @@ class NodeDaemon:
             return
         self._announce()
         self._heartbeat_timer = self.runtime.schedule(
-            self.config.heartbeat, self._heartbeat
+            HEARTBEAT, self._heartbeat
         )
 
     # -- protocol event hooks -------------------------------------------

@@ -12,13 +12,11 @@ kernel socket as one UDP datagram in the
 Differences from the in-memory transport, all forced by real networks:
 
 * **One node per transport.**  A process hosts one protocol node; the
-  rest of the membership is reachable only by address.  Peer addresses
-  are learned three ways: seeded statically (cluster harness), learned
-  from the source address of incoming datagrams (every received
-  protocol message teaches us where its sender listens, since nodes
-  send from their bound socket), or resolved through a rendezvous
-  service (see :mod:`repro.net.rendezvous`) with queue-and-retry for
-  IDs nobody has introduced yet.
+  rest of the membership is reachable only by address: seeded
+  statically (cluster harness), learned from the source address of
+  every received protocol message (nodes send from their bound
+  socket), or resolved through a rendezvous service (see
+  :mod:`repro.net.rendezvous`), queueing sends until it answers.
 * **Loss is real, so reliability is explicit.**  The paper's protocol
   (and its proofs) assume reliable channels; UDP gives none.  Every
   protocol datagram carries a per-sender sequence number and is
@@ -26,8 +24,9 @@ Differences from the in-memory transport, all forced by real networks:
   exponential backoff); receivers ack every copy and suppress
   duplicates by ``(sender, seq)``.  The retransmission timer *is* the
   wire-level recovery timer the fault-injection acceptance tests
-  exercise: drop a ``JoinNotiMsg`` on the floor and the timer fires
-  and re-delivers it.
+  exercise: drop a ``JoinNotiMsg`` and the timer re-delivers it.
+  Control requests ride the same retry machine under their own policy
+  (fixed timeout, no fault injection).
 * **Datagram ceiling.**  Frames are refused past
   :data:`~repro.runtime.codec.MAX_DATAGRAM_BYTES` -- a table snapshot
   that does not fit is a protocol-sizing bug surfaced loudly, not a
@@ -53,20 +52,21 @@ only a real wire can show: per-peer ack RTT (first transmissions only
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Set, Tuple, TYPE_CHECKING,
+)
 
 from repro.ids.digits import NodeId
 from repro.network.message import Message
 from repro.network.stats import MessageStats
 from repro.network.transport import TransportBase
-from repro.net.control import MALFORMED, control_reply
+from repro.net.control import MALFORMED, ControlHandler, control_reply
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.wire import (
     ACK,
     Address,
     CTL,
     MSG,
-    RSP,
     ack_frame,
     ctl_frame,
     decode_frame,
@@ -106,38 +106,49 @@ COUNTER_METRICS = (
 )
 
 
-class _Pending:
-    """One protocol datagram awaiting acknowledgment."""
+class _Policy(NamedTuple):
+    """How one kind of outstanding datagram is retried: ``timeout``
+    doubles per retry up to ``backoff_cap`` times, the record is given
+    up after ``max_retries`` retransmissions, and ``faults`` says
+    whether the transport's fault injector applies."""
+
+    timeout: float
+    backoff_cap: int
+    max_retries: int
+    faults: bool
+
+
+MESSAGE_POLICY = _Policy(RETRANSMIT_TIMEOUT, 8, MAX_RETRIES, True)
+#: Control requests bypass the fault injector: control traffic is the
+#: harness's measurement channel, not the system under test.
+CONTROL_POLICY = _Policy(CONTROL_TIMEOUT, 1, MAX_CONTROL_RETRIES, False)
+
+
+class _Outstanding:
+    """One datagram awaiting its answer: a protocol message its ack
+    (``message`` set, ``dst`` a node id, ``key`` its seq) or a control
+    request its response (``dst`` an address, ``key`` its rid).
+    ``on_done(record, frame)`` runs once, with the answering frame or,
+    once the retries run out, ``None``.  ``sent_wall`` (loop time of
+    the first transmission) is kept only with a metrics registry."""
 
     __slots__ = (
-        "seq", "dst", "message", "data", "retries", "timer", "sent_wall"
+        "key", "dst", "data", "policy", "on_done", "message", "retries",
+        "timer", "sent_wall",
     )
 
-    def __init__(self, seq: int, dst: NodeId, message: Message, data: bytes):
-        self.seq = seq
+    def __init__(self, key: int, dst, data: bytes, policy: _Policy,
+                 on_done: Callable[["_Outstanding", Optional[dict]], None],
+                 message: Optional[Message] = None):
+        self.key = key
         self.dst = dst
+        self.data = data
+        self.policy = policy
+        self.on_done = on_done
         self.message = message
-        self.data = data
         self.retries = 0
         self.timer = None
-        #: Wall-clock (loop) time of the first transmission; the RTT
-        #: sample base.  ``None`` until the datagram first hits the wire.
         self.sent_wall: Optional[float] = None
-
-
-class _PendingControl:
-    """One control request awaiting its response."""
-
-    __slots__ = ("rid", "addr", "data", "on_reply", "retries", "timer")
-
-    def __init__(self, rid: int, addr: Address, data: bytes,
-                 on_reply: Optional[Callable[[Optional[dict]], None]]):
-        self.rid = rid
-        self.addr = addr
-        self.data = data
-        self.on_reply = on_reply
-        self.retries = 0
-        self.timer = None
 
 
 class _SocketAdapter(asyncio.DatagramProtocol):
@@ -177,42 +188,32 @@ class DatagramTransport(TransportBase):
         self.rendezvous = rendezvous
         self.metrics = metrics
         self.faults = FaultInjector(faults) if faults is not None else None
-        #: Control-protocol server hook: ``on_control(op, body, addr)``
-        #: returns a response body dict (or None for no response).
-        self.on_control: Optional[
-            Callable[[str, dict, Address], Optional[dict]]
-        ] = None
+        #: Control-protocol server hook (None: control frames ignored).
+        self.on_control: Optional[ControlHandler] = None
         self.peers: Dict[NodeId, Address] = {}
         #: The wire's one tally (``status`` reports it, the ``net_*``
-        #: metrics read it).
-        self.counters: Dict[str, int] = {
-            "datagrams_sent": 0,
-            "datagrams_received": 0,
-            # Bytes handed to / read off the socket (the abstract
-            # Section 6.2 sizes live in ``stats.total_bytes``).
-            "wire_bytes_sent": 0,
-            "wire_bytes_received": 0,
-            "retransmits": 0,
-            "gave_up": 0,
-            "duplicates_suppressed": 0,
-            "malformed": 0,
-            "acks_received": 0,
-            "control_requests": 0,
-            "control_timeouts": 0,
-            "resolve_failures": 0,
-            "socket_errors": 0,
-        }
+        #: metrics read it).  ``wire_bytes_*`` count bytes handed to /
+        #: read off the socket (the abstract Section 6.2 sizes live in
+        #: ``stats.total_bytes``).
+        self.counters: Dict[str, int] = dict.fromkeys((
+            "datagrams_sent", "datagrams_received", "wire_bytes_sent",
+            "wire_bytes_received", "retransmits", "gave_up",
+            "duplicates_suppressed", "malformed", "acks_received",
+            "control_requests", "control_timeouts", "resolve_failures",
+            "socket_errors",
+        ), 0)
         self._node: Optional["NetworkNode"] = None
         self._local_id: Optional[NodeId] = None
         self._endpoint = None
         self._next_seq = 1
         self._next_rid = 1
-        self._unacked: Dict[int, _Pending] = {}
-        self._pending_ctl: Dict[int, _PendingControl] = {}
+        #: Outstanding protocol datagrams by seq, control requests by rid.
+        self._unacked: Dict[int, _Outstanding] = {}
+        self._pending_ctl: Dict[int, _Outstanding] = {}
         self._seen: Dict[NodeId, Set[int]] = {}
         # Destinations being resolved through the rendezvous: when the
         # first lookup started (loop time) and the sends queued on it.
-        self._resolving: Dict[NodeId, Tuple[float, List[_Pending]]] = {}
+        self._resolving: Dict[NodeId, Tuple[float, List[_Outstanding]]] = {}
         self._closed = False
         if metrics is not None:
             # Published once now, so the instruments register in a
@@ -232,29 +233,22 @@ class DatagramTransport(TransportBase):
     def open(self) -> Address:
         """Bind the socket on the runtime's loop; returns the bound
         address (resolving port 0 to the kernel-assigned port)."""
-        loop = self.runtime.loop
-
-        async def _bind():
-            return await loop.create_datagram_endpoint(
+        self._endpoint, _ = self.runtime.loop.run_until_complete(
+            self.runtime.loop.create_datagram_endpoint(
                 lambda: _SocketAdapter(self), local_addr=self.local_addr
             )
-
-        endpoint, _ = loop.run_until_complete(_bind())
-        self._endpoint = endpoint
-        sockname = endpoint.get_extra_info("sockname")
-        self.local_addr = (sockname[0], sockname[1])
+        )
+        self.local_addr = self._endpoint.get_extra_info("sockname")[:2]
         return self.local_addr
 
     def close(self) -> None:
         """Drop all in-flight state and close the socket."""
         self._closed = True
-        for pending in list(self._unacked.values()):
-            if pending.timer is not None:
-                pending.timer.cancel()
+        for record in [*self._unacked.values(), *self._pending_ctl.values()]:
+            if record.timer is not None:
+                record.timer.cancel()
+                record.timer = None
         self._unacked.clear()
-        for ctl in list(self._pending_ctl.values()):
-            if ctl.timer is not None:
-                ctl.timer.cancel()
         self._pending_ctl.clear()
         self._resolving.clear()
         if self._endpoint is not None:
@@ -298,28 +292,18 @@ class DatagramTransport(TransportBase):
             self.metrics.histogram("net_resolve_ms").observe(
                 (self.runtime.loop.time() - started) * 1000.0
             )
-        for pending in queued:
-            self._transmit(pending)
+        for record in queued:
+            self._transmit(record)
 
     # -- send path (transport contract) ----------------------------------
-
-    def send(self, dst: NodeId, message: Message) -> None:
-        """Send ``message`` to ``dst`` reliably (acked, retransmitted)."""
-        self._dispatch(dst, message)
-
-    def send_lossy(self, dst: NodeId, message: Message) -> bool:
-        """Like :meth:`send`; over UDP the lossy path *is* the normal
-        path (probes to dead peers simply exhaust retries and are
-        accounted as drops).  Returns whether a send was attempted:
-        False only when :attr:`drop_filter` dropped the message."""
-        return self._dispatch(dst, message)
 
     @property
     def unacked_count(self) -> int:
         """Protocol datagrams currently in flight (sent, not acked)."""
         return len(self._unacked)
 
-    def _dispatch(self, dst: NodeId, message: Message) -> bool:
+    def send(self, dst: NodeId, message: Message) -> bool:
+        """Send ``message`` to ``dst`` reliably (acked, retransmitted)."""
         if self.drop_filter is not None and self.drop_filter(message, dst):
             self._drop(dst, message)
             return False
@@ -333,94 +317,119 @@ class DatagramTransport(TransportBase):
             return True
         seq = self._next_seq
         self._next_seq = seq + 1
-        data = encode_frame(msg_frame(seq, message))
-        pending = _Pending(seq, dst, message, data)
-        self._unacked[seq] = pending
-        if dst in self.peers:
-            self._transmit(pending)
-        else:
-            self._queue_unresolved(dst, pending)
+        record = _Outstanding(
+            seq, dst, encode_frame(msg_frame(seq, message)), MESSAGE_POLICY,
+            self._message_done, message,
+        )
+        self._unacked[seq] = record
+        self._transmit(record)
         return True
 
-    def _transmit(self, pending: _Pending) -> None:
-        addr = self.peers.get(pending.dst)
-        if addr is None:  # resolution raced a peer removal; retry later
-            self._queue_unresolved(pending.dst, pending)
-            return
-        if pending.sent_wall is None:
-            pending.sent_wall = self.runtime.loop.time()
-        self._send_raw(pending.data, addr, pending.message.type_name)
-        backoff = RETRANSMIT_TIMEOUT * min(2 ** pending.retries, 8)
-        pending.timer = self.runtime.schedule(
-            backoff, self._on_retransmit, pending.seq
+    #: Over UDP the lossy path *is* the normal path: probes to a dead
+    #: peer exhaust their retries and are accounted as drops.  Returns
+    #: False only when :attr:`drop_filter` dropped the message.
+    send_lossy = send
+
+    # -- the retry machine ------------------------------------------------
+
+    def _transmit(self, record: _Outstanding) -> None:
+        """Send ``record``'s datagram (again) and arm its timeout."""
+        message = record.message
+        if message is None:
+            addr = record.dst
+        else:
+            addr = self.peers.get(record.dst)
+            if addr is None:  # unknown: ask the rendezvous, send on reply
+                self._queue_unresolved(record.dst, record)
+                return
+            if record.sent_wall is None and self.metrics is not None:
+                record.sent_wall = self.runtime.loop.time()
+        policy = record.policy
+        if policy.faults and self.faults is not None:
+            self._send_raw(record.data, addr, self.faults, message.type_name)
+        elif self._endpoint is not None:  # no faults apply: write it here
+            self.counters["datagrams_sent"] += 1
+            self.counters["wire_bytes_sent"] += len(record.data)
+            self._endpoint.sendto(record.data, addr)
+        record.timer = self.runtime.schedule(
+            policy.timeout * min(2 ** record.retries, policy.backoff_cap),
+            self._on_timeout, record,
         )
 
-    def _send_raw(
-        self, data: bytes, addr: Address, type_name: Optional[str]
-    ) -> None:
-        """Hand ``data`` to the socket, through the fault injector."""
+    def _on_timeout(self, record: _Outstanding) -> None:
+        """Retransmit ``record``, or give it up: its retries are spent."""
+        record.timer = None
+        record.retries += 1
+        message = record.message
+        if record.retries > record.policy.max_retries:
+            (self._unacked if message else self._pending_ctl).pop(record.key)
+            record.on_done(record, None)
+            return
+        if message is not None:
+            self.counters["retransmits"] += 1
+            self.stats.on_retransmit(message)
+        self._transmit(record)
+
+    def _message_done(self, record: _Outstanding, ack: Optional[dict]):
+        """A protocol datagram was acked, or (``ack`` None) given up."""
+        message = record.message
+        if ack is None:
+            self.counters["gave_up"] += 1
+            self.stats.on_drop(message)
+            if self._tracer is not None:
+                # Not ``message.drop``: an earlier copy may have been
+                # handled (only its acks lost), and a drop record could
+                # fabricate causal-order violations.
+                self._tracer.event(
+                    "message.gave_up",
+                    self.runtime.now,
+                    type=message.type_name,
+                    dst=str(record.dst),
+                    msg=message.msg_id,
+                    retries=record.retries - 1,
+                )
+            return
+        self.counters["acks_received"] += 1
+        if record.retries == 0 and record.sent_wall is not None:
+            # Karn's rule: a retransmitted datagram's ack is ambiguous
+            # (which copy does it answer?), so only first-transmission
+            # acks contribute RTT samples.
+            self.metrics.histogram(
+                "net_ack_rtt_ms", peer=str(record.dst)
+            ).observe((self.runtime.loop.time() - record.sent_wall) * 1000.0)
+
+    def _send_raw(self, data: bytes, addr: Address,
+                  faults: Optional[FaultInjector],
+                  type_name: Optional[str] = None) -> None:
+        """Hand ``data`` to the socket, through ``faults`` when given."""
         if self._endpoint is None:
             return
-        if self.faults is None:
-            self.counters["datagrams_sent"] += 1
-            self.counters["wire_bytes_sent"] += len(data)
-            self._endpoint.sendto(data, addr)
-            return
-        for delay in self.faults.transmissions(type_name):
+        delays = (0.0,) if faults is None else faults.transmissions(type_name)
+        for delay in delays:
             self.counters["datagrams_sent"] += 1
             self.counters["wire_bytes_sent"] += len(data)
             if delay <= 0.0:
                 self._endpoint.sendto(data, addr)
             else:
-                self.runtime.schedule(
-                    delay, self._sendto_later, (data, addr)
-                )
+                self.runtime.schedule(delay, self._sendto_later, (data, addr))
 
-    def _sendto_later(self, payload) -> None:
-        data, addr = payload
+    def _sendto_later(self, datagram: Tuple[bytes, Address]) -> None:
         if self._endpoint is not None:
-            self._endpoint.sendto(data, addr)
-
-    def _on_retransmit(self, seq: int) -> None:
-        pending = self._unacked.get(seq)
-        if pending is None:
-            return
-        pending.timer = None
-        pending.retries += 1
-        if pending.retries > MAX_RETRIES:
-            del self._unacked[seq]
-            self.counters["gave_up"] += 1
-            self.stats.on_drop(pending.message)
-            if self._tracer is not None:
-                # Not ``message.drop``: the earlier transmissions may
-                # have been handled (only the acks lost), so marking
-                # the record dropped could fabricate causal-order
-                # violations.  A distinct event keeps the evidence
-                # without rewriting the send record.
-                self._tracer.event(
-                    "message.gave_up",
-                    self.runtime.now,
-                    type=pending.message.type_name,
-                    dst=str(pending.dst),
-                    msg=pending.message.msg_id,
-                    retries=pending.retries - 1,
-                )
-            return
-        self.counters["retransmits"] += 1
-        self.stats.on_retransmit(pending.message)
-        self._transmit(pending)
+            self._endpoint.sendto(*datagram)
 
     # -- resolution -------------------------------------------------------
 
-    def _queue_unresolved(self, dst: NodeId, pending: _Pending) -> None:
+    def _queue_unresolved(self, dst: NodeId, record: _Outstanding) -> None:
         resolving = self._resolving.get(dst)
         if resolving is not None:
-            resolving[1].append(pending)
+            resolving[1].append(record)
             return
-        self._resolving[dst] = (self.runtime.loop.time(), [pending])
-        self._resolve(dst, 0)
+        self._resolving[dst] = (self.runtime.loop.time(), [record])
+        self._resolve((dst, 0))
 
-    def _resolve(self, dst: NodeId, attempt: int) -> None:
+    def _resolve(self, job: Tuple[NodeId, int]) -> None:
+        """Ask the rendezvous where ``dst`` listens (``job = (dst, n)``)."""
+        dst, attempt = job
         if dst in self.peers or dst not in self._resolving:
             return
         if self.rendezvous is None or attempt >= MAX_RESOLVE_ATTEMPTS:
@@ -435,8 +444,7 @@ class DatagramTransport(TransportBase):
                 self.add_peer(dst, (addr[0], addr[1]))
             else:
                 self.runtime.schedule(
-                    RESOLVE_RETRY_DELAY, self._retry_resolve,
-                    (dst, attempt + 1),
+                    RESOLVE_RETRY_DELAY, self._resolve, (dst, attempt + 1)
                 )
 
         self.control_request(
@@ -444,18 +452,14 @@ class DatagramTransport(TransportBase):
             on_reply,
         )
 
-    def _retry_resolve(self, payload) -> None:
-        dst, attempt = payload
-        self._resolve(dst, attempt)
-
     def _resolution_failed(self, dst: NodeId) -> None:
         _, queued = self._resolving.pop(dst)
         self.counters["resolve_failures"] += 1
-        for pending in queued:
-            self._unacked.pop(pending.seq, None)
+        for record in queued:
+            self._unacked.pop(record.key, None)
             # Never transmitted: a true drop (the send record is
             # rewritten as dropped when the forest is rebuilt).
-            self._drop(dst, pending.message, sent=True)
+            self._drop(dst, record.message, sent=True)
 
     # -- control protocol -------------------------------------------------
 
@@ -474,40 +478,21 @@ class DatagramTransport(TransportBase):
             return -1
         rid = self._next_rid
         self._next_rid = rid + 1
-        data = encode_frame(ctl_frame(rid, op, body))
-        ctl = _PendingControl(rid, addr, data, on_reply)
-        self._pending_ctl[rid] = ctl
         self.counters["control_requests"] += 1
-        self._send_control_raw(data, addr)
-        ctl.timer = self.runtime.schedule(
-            CONTROL_TIMEOUT, self._on_control_timeout, rid
+
+        def done(record: _Outstanding, frame: Optional[dict]) -> None:
+            if frame is None:
+                self.counters["control_timeouts"] += 1
+            if on_reply is not None:
+                on_reply(None if frame is None else frame.get("b") or {})
+
+        record = _Outstanding(
+            rid, addr, encode_frame(ctl_frame(rid, op, body)),
+            CONTROL_POLICY, done,
         )
+        self._pending_ctl[rid] = record
+        self._transmit(record)
         return rid
-
-    def _send_control_raw(self, data: bytes, addr: Address) -> None:
-        # Control traffic bypasses the fault injector: it is the
-        # harness's measurement channel, not the system under test.
-        if self._endpoint is not None:
-            self.counters["datagrams_sent"] += 1
-            self.counters["wire_bytes_sent"] += len(data)
-            self._endpoint.sendto(data, addr)
-
-    def _on_control_timeout(self, rid: int) -> None:
-        ctl = self._pending_ctl.get(rid)
-        if ctl is None:
-            return
-        ctl.timer = None
-        ctl.retries += 1
-        if ctl.retries > MAX_CONTROL_RETRIES:
-            del self._pending_ctl[rid]
-            self.counters["control_timeouts"] += 1
-            if ctl.on_reply is not None:
-                ctl.on_reply(None)
-            return
-        self._send_control_raw(ctl.data, ctl.addr)
-        ctl.timer = self.runtime.schedule(
-            CONTROL_TIMEOUT, self._on_control_timeout, rid
-        )
 
     # -- receive path -----------------------------------------------------
 
@@ -519,12 +504,25 @@ class DatagramTransport(TransportBase):
             kind = frame["k"]
             if kind == MSG:
                 self._on_msg_frame(frame, addr)
-            elif kind == ACK:
-                self._on_ack_frame(frame)
             elif kind == CTL:
                 self._on_ctl_frame(frame, addr)
-            elif kind == RSP:
-                self._on_rsp_frame(frame)
+            else:
+                # An answer: an ack ends a protocol datagram's wait, a
+                # response (``r``) a control request's.
+                record = (
+                    self._unacked.pop(frame["s"], None) if kind == ACK
+                    else self._pending_ctl.pop(frame["r"], None)
+                )
+                if record is not None:
+                    if record.timer is not None:
+                        # Dropping the timer also breaks the cycle
+                        # record -> timer -> record (its payload).
+                        record.timer.cancel()
+                        record.timer = None
+                    # The cancel may have been the last pending action:
+                    # wake the dispatcher so quiescence is observed.
+                    self.runtime.kick()
+                    record.on_done(record, frame)
         except MALFORMED:
             # Garbage off the wire must never kill a daemon.
             self.counters["malformed"] += 1
@@ -535,12 +533,10 @@ class DatagramTransport(TransportBase):
         sender = message.sender
         # Every datagram teaches us the sender's listen address (nodes
         # send from their bound socket).
-        if sender != self._local_id:
-            previous = self.peers.get(sender)
-            if previous != addr:
-                self.add_peer(sender, addr)
+        if sender != self._local_id and self.peers.get(sender) != addr:
+            self.add_peer(sender, addr)
         # Ack every copy -- the first ack may have been the lost one.
-        self._send_raw(encode_frame(ack_frame(seq)), addr, None)
+        self._send_raw(encode_frame(ack_frame(seq)), addr, self.faults)
         seen = self._seen.setdefault(sender, set())
         if seq in seen:
             self.counters["duplicates_suppressed"] += 1
@@ -560,47 +556,11 @@ class DatagramTransport(TransportBase):
         else:
             self._receive_traced(node, message)
 
-    def _on_ack_frame(self, frame: dict) -> None:
-        pending = self._unacked.pop(frame["s"], None)
-        if pending is None:
-            return
-        self.counters["acks_received"] += 1
-        if pending.timer is not None:
-            pending.timer.cancel()
-            pending.timer = None
-        if (
-            self.metrics is not None
-            and pending.retries == 0
-            and pending.sent_wall is not None
-        ):
-            # Karn's rule: a retransmitted datagram's ack is ambiguous
-            # (which copy does it answer?), so only first-transmission
-            # acks contribute RTT samples.
-            self.metrics.histogram(
-                "net_ack_rtt_ms", peer=str(pending.dst)
-            ).observe((self.runtime.loop.time() - pending.sent_wall) * 1000.0)
-        # The cancel may have been the last pending action: wake the
-        # dispatcher so quiescence is observed.
-        self.runtime.kick()
-
     def _on_ctl_frame(self, frame: dict, addr: Address) -> None:
-        handler = self.on_control
-        if handler is None:
-            return
-        reply = control_reply(frame, handler, addr)
-        if reply is not None:
-            self._send_control_raw(reply, addr)
-
-    def _on_rsp_frame(self, frame: dict) -> None:
-        ctl = self._pending_ctl.pop(frame["r"], None)
-        if ctl is None:
-            return
-        if ctl.timer is not None:
-            ctl.timer.cancel()
-            ctl.timer = None
-        if ctl.on_reply is not None:
-            ctl.on_reply(frame.get("b") or {})
-        self.runtime.kick()
+        if self.on_control is not None:
+            reply = control_reply(frame, self.on_control, addr)
+            if reply is not None:
+                self._send_raw(reply, addr, None)
 
 
 __all__ = [

@@ -50,10 +50,10 @@ exits instead of stalling another node's join.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ids.digits import NodeId
-from repro.net.control import ControlServer
+from repro.net.control import ControlClient, ControlServer
 from repro.net.wire import Address, node_id_from_wire, node_id_to_wire
 
 #: Announcements older than this (seconds) are expired on read.
@@ -168,4 +168,27 @@ class RendezvousServer(ControlServer):
         return rows
 
 
-__all__ = ["DEFAULT_TTL", "MAX_PEERS_RETURNED", "RendezvousServer"]
+def read_directory(
+    client: ControlClient, rendezvous: Address
+) -> List[Tuple[Any, Address, str]]:
+    """The rendezvous ``directory`` as ``(id_wire, address, kind)``
+    rows, in the order served (empty if the rendezvous is silent).  A
+    row not shaped ``[id, [host, port], s, kind]`` is malformed input
+    and skipped."""
+    body = client.try_request(rendezvous, "directory")
+    rows = []
+    for entry in (body or {}).get("nodes") or []:
+        if (
+            isinstance(entry, list) and len(entry) == 4
+            and isinstance(entry[1], list) and len(entry[1]) == 2
+        ):
+            rows.append((entry[0], (entry[1][0], entry[1][1]), entry[3]))
+    return rows
+
+
+__all__ = [
+    "DEFAULT_TTL",
+    "MAX_PEERS_RETURNED",
+    "RendezvousServer",
+    "read_directory",
+]

@@ -7,17 +7,13 @@ simulator" (Section 5.2).  This package provides that substrate:
   timestamped events.
 * :class:`~repro.sim.scheduler.Simulator` -- the virtual clock and run
   loop.
-* :mod:`~repro.sim.rng` -- seeded random-stream management so every
-  experiment is reproducible.
 """
 
 from repro.sim.events import Event, EventQueue
-from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Simulator
 
 __all__ = [
     "Event",
     "EventQueue",
-    "RngFactory",
     "Simulator",
 ]

@@ -7,12 +7,15 @@ be recovered by the retransmission (recovery) timer, and the network
 must still converge to Definition 3.8 consistency.
 """
 
+import socket
+
 import pytest
 
 from repro.consistency.checker import check_consistency
 from repro.ids.idspace import IdSpace
 from repro.net.datagram import DatagramTransport
 from repro.net.faults import FaultPlan
+from repro.net.wire import ack_frame, decode_frame, encode_frame
 from repro.protocol.messages import JoinWaitMsg
 from repro.protocol.status import NodeStatus
 from repro.runtime.realtime import AsyncioRuntime
@@ -185,3 +188,133 @@ class TestAddressLearning:
             net.run(wall_budget=10.0)
             assert sender.counters["resolve_failures"] == 1
             assert sender.stats.total_dropped == 1
+
+
+class BlackHole:
+    """A bound UDP socket that reads nothing and answers nothing."""
+
+    def __init__(self):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.setblocking(False)
+        self.addr = self.sock.getsockname()
+
+    def drain(self):
+        """Every datagram that arrived so far, oldest first."""
+        received = []
+        while True:
+            try:
+                received.append(self.sock.recv(65536))
+            except BlockingIOError:
+                return received
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.fixture
+def hole():
+    sink = BlackHole()
+    yield sink
+    sink.close()
+
+
+class TestGiveUp:
+    """The ends of the retry machine: what a silent peer costs, and
+    which acks may time the wire."""
+
+    def test_black_hole_peer_gets_eleven_copies_then_a_give_up(self, hole):
+        with LoopbackNet(2, telemetry=True) as net:
+            sender = net.transports[0]
+            sender.add_peer(net.ids[1], hole.addr)
+            net.runtime.schedule(
+                0.0,
+                lambda: sender.send(net.ids[1], JoinWaitMsg(net.ids[0])),
+            )
+            net.run(wall_budget=20.0)
+            assert len(hole.drain()) == 11
+            assert sender.counters["datagrams_sent"] == 11
+            assert sender.counters["retransmits"] == 10
+            assert sender.counters["gave_up"] == 1
+            assert sender.counters["acks_received"] == 0
+            registry = sender.stats.registry
+            assert registry.values_by_label(
+                "messages_retransmitted", "type"
+            ) == {"JoinWaitMsg": 10}
+            assert registry.values_by_label(
+                "messages_dropped", "type"
+            ) == {"JoinWaitMsg": 1}
+            gave_up = [
+                event for event in net.telemetries[0].tracer.events()
+                if event.name == "message.gave_up"
+            ]
+            assert len(gave_up) == 1
+            assert gave_up[0].attrs["retries"] == 10
+            assert gave_up[0].attrs["type"] == "JoinWaitMsg"
+            assert sender.unacked_count == 0
+            assert net.runtime.pending_events == 0
+
+    def test_control_request_to_silent_address_times_out_once(self, hole):
+        with LoopbackNet(1) as net:
+            transport = net.transports[0]
+            replies = []
+            net.runtime.schedule(
+                0.0,
+                lambda: transport.control_request(
+                    hole.addr, "ping", None, replies.append
+                ),
+            )
+            net.run(wall_budget=20.0)
+            assert len(hole.drain()) == 6
+            assert transport.counters["datagrams_sent"] == 6
+            assert transport.counters["control_requests"] == 1
+            assert transport.counters["control_timeouts"] == 1
+            assert replies == [None]
+            assert net.runtime.pending_events == 0
+
+    def test_ack_after_a_retransmission_records_no_rtt(self, hole):
+        """Karn's rule: an ack for a retransmitted datagram may answer
+        either copy, so it is no RTT sample; a first-copy ack is."""
+        with LoopbackNet(2, telemetry=True) as net:
+            sender = net.transports[0]
+            sender.add_peer(net.ids[1], hole.addr)
+            net.runtime.schedule(
+                0.0,
+                lambda: sender.send(net.ids[1], JoinWaitMsg(net.ids[0])),
+            )
+
+            def ack_once_retransmitted():
+                if sender.counters["retransmits"] == 0:
+                    net.runtime.schedule(5.0, ack_once_retransmitted)
+                    return
+                seq = decode_frame(hole.drain()[0])["s"]
+                hole.sock.sendto(
+                    encode_frame(ack_frame(seq)), sender.local_addr
+                )
+
+            net.runtime.schedule(30.0, ack_once_retransmitted)
+            net.run(wall_budget=20.0)
+            assert sender.counters["retransmits"] >= 1
+            assert sender.counters["acks_received"] == 1
+            assert sender.counters["gave_up"] == 0
+
+            metrics = net.telemetries[0].metrics
+
+            def rtt_samples():
+                return sum(
+                    value for key, value in metrics.snapshot().items()
+                    if key.startswith("net_ack_rtt_ms")
+                    and key.endswith("_count")
+                )
+
+            assert rtt_samples() == 0
+            retransmits = sender.counters["retransmits"]
+            sender.add_peer(net.ids[1], net.transports[1].local_addr)
+            net.runtime.schedule(
+                0.0,
+                lambda: sender.send(net.ids[1], JoinWaitMsg(net.ids[0])),
+            )
+            net.run(wall_budget=20.0)
+            assert sender.counters["acks_received"] == 2
+            first_copy = sender.counters["retransmits"] == retransmits
+            assert rtt_samples() == (1 if first_copy else 0)
