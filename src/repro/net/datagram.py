@@ -2,12 +2,11 @@
 
 This is the real-wire sibling of the in-memory
 :class:`~repro.network.transport.Transport`.  It exposes the same
-surface the protocol stack uses (``send`` / ``send_lossy`` /
-``register`` / ``unregister`` / ``runtime`` / ``stats`` /
-``drop_filter``), so a :class:`~repro.protocol.node.ProtocolNode`
-constructed over it runs unmodified -- but every message now crosses a
-kernel socket as one UDP datagram in the
-:mod:`repro.net.wire` frame format.
+surface the protocol stack uses (``send`` / ``register`` /
+``unregister`` / ``runtime`` / ``stats`` / ``drop_filter``), so a
+:class:`~repro.protocol.node.ProtocolNode` constructed over it runs
+unmodified -- but every message now crosses a kernel socket as one UDP
+datagram in the :mod:`repro.net.wire` frame format.
 
 Differences from the in-memory transport, all forced by real networks:
 
@@ -303,7 +302,10 @@ class DatagramTransport(TransportBase):
         return len(self._unacked)
 
     def send(self, dst: NodeId, message: Message) -> bool:
-        """Send ``message`` to ``dst`` reliably (acked, retransmitted)."""
+        """Send ``message`` to ``dst`` reliably (acked, retransmitted).
+        A send to a dead peer exhausts its retries and is accounted as
+        a drop; returns False only when :attr:`drop_filter` dropped the
+        message."""
         if self.drop_filter is not None and self.drop_filter(message, dst):
             self._drop(dst, message)
             return False
@@ -324,11 +326,6 @@ class DatagramTransport(TransportBase):
         self._unacked[seq] = record
         self._transmit(record)
         return True
-
-    #: Over UDP the lossy path *is* the normal path: probes to a dead
-    #: peer exhaust their retries and are accounted as drops.  Returns
-    #: False only when :attr:`drop_filter` dropped the message.
-    send_lossy = send
 
     # -- the retry machine ------------------------------------------------
 
@@ -515,10 +512,7 @@ class DatagramTransport(TransportBase):
                 )
                 if record is not None:
                     if record.timer is not None:
-                        # Dropping the timer also breaks the cycle
-                        # record -> timer -> record (its payload).
                         record.timer.cancel()
-                        record.timer = None
                     # The cancel may have been the last pending action:
                     # wake the dispatcher so quiescence is observed.
                     self.runtime.kick()

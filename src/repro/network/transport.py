@@ -29,9 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class UnknownDestinationError(RuntimeError):
-    """A message was addressed to a node not registered with the
-    transport.  Under the paper's assumptions (reliable delivery, no
-    deletion) this indicates a protocol bug, so it fails loudly."""
+    """A lookup or unregistration named a node not registered with the
+    transport.  Sends never raise it: a send to such a node is a
+    drop."""
 
 
 class TransportBase:
@@ -65,7 +65,7 @@ class TransportBase:
         #: Fault-injection hook: when set, a message for which
         #: ``drop_filter(message, dst)`` is true is dropped instead of
         #: sent, accounted through the same :meth:`MessageStats.on_drop`
-        #: / ``message.drop`` trace path as a lossy send to a dead node.
+        #: / ``message.drop`` trace path as a send to a dead node.
         #: Used by tests and audits to inject message loss.
         self.drop_filter: Optional[Callable[[Message, NodeId], bool]] = None
         # Causal-stamping state (tracing only): the message currently
@@ -209,8 +209,8 @@ class Transport(TransportBase):
         self._nodes[key] = node
 
     def unregister(self, node_id: NodeId) -> None:
-        """Remove a departed node; later sends to it raise loudly,
-        surfacing dangling-pointer bugs in membership protocols."""
+        """Remove a departed node; later sends to it are dropped.
+        Unregistering a node that is not registered raises."""
         if self._nodes.pop(node_id._packed, None) is None:
             raise UnknownDestinationError(str(node_id))
 
@@ -235,31 +235,19 @@ class Transport(TransportBase):
         """Registered node IDs, in registration order (a new list)."""
         return [node.node_id for node in self._nodes.values()]
 
-    def send(self, dst: NodeId, message: Message) -> None:
+    def send(self, dst: NodeId, message: Message) -> bool:
         """Send ``message`` to ``dst``; the sender is read off the
         message.  Delivery is scheduled at ``now + latency(src, dst)``.
-        An unregistered ``dst`` raises :class:`UnknownDestinationError`."""
-        self._deliver(dst, message, False)
 
-    def send_lossy(self, dst: NodeId, message: Message) -> bool:
-        """Like :meth:`send`, but silently drop messages to unknown
-        (crashed) destinations.  Used by the failure-recovery protocol,
-        whose probes must tolerate dead nodes.  Returns whether the
-        message was actually dispatched: False when it was dropped,
-        for a dead destination or by :attr:`drop_filter`."""
-        return self._deliver(dst, message, True)
-
-    def _deliver(self, dst: NodeId, message: Message, lossy: bool) -> bool:
-        """The one send path: one registry lookup, the drop filter,
-        accounting, then the delivery is scheduled.  Returns whether
-        the message was dispatched."""
+        The one send path: one registry lookup, the drop filter,
+        accounting, then the delivery is scheduled.  A ``dst`` not
+        registered (crashed or departed) and a message
+        :attr:`drop_filter` refuses are dropped, accounted as drops.
+        Returns whether the message was dispatched."""
         target = self._nodes.get(dst._packed)
-        if target is None:
-            if not lossy:
-                raise UnknownDestinationError(str(dst))
-            self._drop(dst, message)
-            return False
-        if self.drop_filter is not None and self.drop_filter(message, dst):
+        if target is None or (
+            self.drop_filter is not None and self.drop_filter(message, dst)
+        ):
             self._drop(dst, message)
             return False
         self._on_send(message)

@@ -78,9 +78,7 @@ _EXPORTS = {
     "write_trace_records": "repro.obs.export",
     "JoinObserver": "repro.obs.instrument",
     "Observability": "repro.obs.instrument",
-    "SchedulerProbe": "repro.obs.instrument",
     "collect_table_metrics": "repro.obs.instrument",
-    "instrument_scheduler": "repro.obs.instrument",
     "JOIN_PHASE_ORDER": "repro.obs.lifecycle",
     "JoinLifecycle": "repro.obs.lifecycle",
     "LifecycleReport": "repro.obs.lifecycle",

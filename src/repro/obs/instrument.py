@@ -9,8 +9,8 @@ of protocol knowledge:
 * :class:`JoinObserver` -- turns the join state machine's phase
   transitions (``copying -> waiting -> notifying -> in_system``) into
   nested spans and a join-latency histogram.
-* :class:`SchedulerProbe` -- samples the event queue depth into a
-  gauge and histogram.
+* :func:`publish_runtime` -- the runtime's event count and queue
+  depth, read as metrics.
 * :func:`collect_table_metrics` -- per-level neighbor-table fill
   gauges, computed from final tables.
 
@@ -112,40 +112,19 @@ class JoinObserver:
         return len(self._live)
 
 
-class SchedulerProbe:
-    """Samples the simulator's queue depth every ``sample_every`` events.
+def publish_runtime(runtime: Any, registry: MetricsRegistry) -> None:
+    """Collector: the runtime's ``events_fired`` and ``pending_events``
+    as ``sim_events_fired`` and ``sim_queue_depth``.
 
-    Installed as :attr:`repro.sim.scheduler.Simulator.on_event_fired`;
-    keeps a gauge with the latest depth and a histogram of sampled
-    depths (the ISSUE's "scheduler queue depth" metric).
+    Register it as ``partial(publish_runtime, runtime)``: it reads the
+    runtime's own tallies when the registry is read, so a run pays
+    nothing per event for them.  The registry holds the runtime, never
+    the network that owns it.  The simulator adds a run's events to
+    ``events_fired`` when the run returns, so a read from inside a run
+    sees the count as the run began.
     """
-
-    def __init__(self, metrics: MetricsRegistry, sample_every: int = 64):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        self.sample_every = sample_every
-        self._since_sample = 0
-        self._events = metrics.counter("sim_events_fired")
-        self._depth_gauge = metrics.gauge("sim_queue_depth")
-        self._depth_hist = metrics.histogram("sim_queue_depth_sampled")
-
-    def __call__(self, time: float, pending: int) -> None:
-        """The ``on_event_fired`` callback: count, and sample depth."""
-        self._events.inc()
-        self._since_sample += 1
-        if self._since_sample >= self.sample_every:
-            self._since_sample = 0
-            self._depth_gauge.set(pending)
-            self._depth_hist.observe(pending)
-
-
-def instrument_scheduler(
-    simulator: Any, obs: Observability, sample_every: int = 64
-) -> SchedulerProbe:
-    """Attach a :class:`SchedulerProbe` to ``simulator`` and return it."""
-    probe = SchedulerProbe(obs.metrics, sample_every=sample_every)
-    simulator.on_event_fired = probe
-    return probe
+    registry.counter("sim_events_fired").value = runtime.events_fired
+    registry.gauge("sim_queue_depth").set(runtime.pending_events)
 
 
 def collect_table_metrics(

@@ -42,7 +42,7 @@ from repro.obs.instrument import (
     JoinObserver,
     Observability,
     collect_table_metrics,
-    instrument_scheduler,
+    publish_runtime,
 )
 from repro.protocol.node import ProtocolNode
 from repro.protocol.sizing import SizingPolicy
@@ -104,11 +104,12 @@ class JoinProtocolNetwork:
         self._dispatch_phase = partial(_fan_out, self._phase_listeners)
         self._on_departed = partial(_departed, weakref.ref(self))
         if obs is not None:
-            # Message accounting shares the run's registry, the queue
-            # probe samples the runtime, and join phase transitions
-            # become spans (no-ops under a NullTracer).
+            # Message accounting shares the run's registry, the
+            # runtime's event count and queue depth are read when the
+            # registry is (nothing per event), and join phase
+            # transitions become spans (no-ops under a NullTracer).
             self.stats = MessageStats(registry=obs.metrics)
-            instrument_scheduler(self.runtime, obs)
+            obs.metrics.add_collector(partial(publish_runtime, self.runtime))
             self._join_observer = JoinObserver(obs)
             self._phase_listeners.append(self._join_observer.on_phase)
         else:
@@ -267,6 +268,8 @@ class JoinProtocolNetwork:
             if not candidates:
                 raise ValueError("no existing node to join through")
             gateway = self._rng.choice(candidates)
+        elif gateway not in self.nodes:
+            raise ValueError(f"gateway {gateway} is not a current node")
         node = ProtocolNode(
             node_id,
             self.transport,

@@ -29,7 +29,7 @@ class RecoveryReport:
 
 def fail_nodes(network, node_ids: Iterable[NodeId]) -> None:
     """Crash-stop the given nodes: no farewell protocol, later messages
-    to them are dropped (recovery paths) or raise (protocol paths)."""
+    to them are dropped."""
     for node_id in node_ids:
         node = network.nodes.pop(node_id)
         node.status = NodeStatus.LEFT

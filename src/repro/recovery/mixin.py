@@ -1,7 +1,7 @@
 """Per-node failure-detection and repair logic.
 
-Mixed into :class:`repro.protocol.node.ProtocolNode`.  All sends that
-may target crashed nodes go through the transport's lossy path; the
+Mixed into :class:`repro.protocol.node.ProtocolNode`.  A send to a
+crashed node is dropped by the transport (and accounted as a drop); the
 detection timeout is the failure detector (no pong within the timeout
 => suspected dead -- exact in this simulator, since live nodes always
 pong and delivery is reliable).
@@ -117,7 +117,7 @@ class RecoveryMixin:
         for target in targets:
             probe = PingMsg(self.node_id, self.now, token=DETECT)
             state.ping_outstanding.add(target)
-            self.transport.send_lossy(target, probe)
+            self.transport.send(target, probe)
         state.detection_timer = self.start_timer(
             timeout, self._on_detection_timeout
         )
@@ -166,7 +166,7 @@ class RecoveryMixin:
         for neighbor in self.table.distinct_neighbors():
             if neighbor._packed in skip:
                 continue
-            self.transport.send_lossy(
+            self.transport.send(
                 neighbor, AdvertiseMsg(self.node_id)
             )
 
@@ -222,12 +222,12 @@ class RecoveryMixin:
                 else ()
             )
             for backup in backups:
-                self.transport.send_lossy(
+                self.transport.send(
                     backup, PingMsg(self.node_id, self.now, token=VERIFY)
                 )
             suffix = self.node_id.suffix(position[0]) + (position[1],)
             for neighbor in live_neighbors:
-                self.transport.send_lossy(
+                self.transport.send(
                     neighbor,
                     RepairFindMsg(self.node_id, self.node_id, suffix, ttl),
                 )
@@ -262,7 +262,7 @@ class RecoveryMixin:
                 n for n in answer[1] if n._packed != origin_packed
             ]
         if candidates:
-            self.transport.send_lossy(
+            self.transport.send(
                 msg.origin,
                 RepairFindRlyMsg(self.node_id, suffix, tuple(candidates)),
             )
@@ -278,7 +278,7 @@ class RecoveryMixin:
             for neighbor in self.table.distinct_neighbors():
                 if neighbor._packed in skip:
                     continue
-                self.transport.send_lossy(
+                self.transport.send(
                     neighbor,
                     RepairFindMsg(
                         self.node_id, msg.origin, suffix, msg.ttl - 1
@@ -292,7 +292,7 @@ class RecoveryMixin:
         for candidate in msg.candidates:
             if candidate._packed == me:
                 continue
-            self.transport.send_lossy(
+            self.transport.send(
                 candidate, PingMsg(self.node_id, self.now, token=VERIFY)
             )
 

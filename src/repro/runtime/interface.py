@@ -12,7 +12,8 @@ execution environment, and nothing more:
 * a drivable loop -- ``run()`` executes due actions until the system
   quiesces, ``quiesced()`` reports whether anything is still pending,
   and ``add_event_listener`` exposes the per-action observability hook
-  the obs layer (SchedulerProbe, LiveAuditor) rides on.
+  the obs layer's LiveAuditor rides on (``events_fired`` and
+  ``pending_events`` are read, not hooked).
 
 Runtimes guarantee **handler atomicity**: scheduled actions run one at
 a time, never concurrently, so protocol handlers need no locking.

@@ -22,7 +22,7 @@ Design notes:
   action at a time.  Protocol handlers therefore never interleave --
   the same guarantee the discrete-event loop gives -- and the
   ``add_event_listener`` hook fires after each action exactly like the
-  simulator's, so SchedulerProbe and LiveAuditor attach unchanged.
+  simulator's, so LiveAuditor attaches unchanged.
 * **No past scheduling.**  Real time cannot rewind, so ``schedule_at``
   with a deadline already behind ``now`` clamps to "immediately"
   instead of raising like the simulator (joins started "at t=0" a few
@@ -72,10 +72,15 @@ class _ScheduledAction:
         return self.state == _CANCELLED
 
     def cancel(self) -> None:
-        """Cancel before the action runs (idempotent; no-op after)."""
+        """Cancel before the action runs (idempotent; no-op after).
+
+        The action and payload are dropped with it, so a payload that
+        refers back to whatever holds this timer builds no cycle that
+        outlives the cancel (the dispatcher skips cancelled items)."""
         if self.state != _PENDING:
             return
         self.state = _CANCELLED
+        self.action = self.payload = None
         if self.handle is not None:
             self.handle.cancel()
         self.runtime._outstanding -= 1

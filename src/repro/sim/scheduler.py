@@ -43,7 +43,7 @@ class Simulator:
         self._events_fired = 0
         self._running = False
         #: Optional observability hook called as ``cb(now, pending)``
-        #: after each event fires (see repro.obs.SchedulerProbe).
+        #: after each event fires (see repro.obs.audit.LiveAuditor).
         self.on_event_fired: Optional[Callable[[float, int], None]] = None
 
     def _set_queue(self, queue: EventQueue) -> None:
@@ -64,9 +64,9 @@ class Simulator:
         """Chain ``listener`` onto :attr:`on_event_fired`.
 
         The existing hook (if any) keeps firing first; this lets several
-        observers -- e.g. a :class:`~repro.obs.instrument.SchedulerProbe`
-        and a :class:`~repro.obs.audit.LiveAuditor` -- share the single
-        callback slot without knowing about each other.
+        observers -- e.g. a :class:`~repro.obs.audit.LiveAuditor` and a
+        test's probe -- share the single callback slot without knowing
+        about each other.
         """
         previous = self.on_event_fired
         if previous is None:
@@ -138,7 +138,7 @@ class Simulator:
         Semantically identical to calling :meth:`schedule` per entry
         (same firing order for simultaneous entries), but pays one
         O(n) ``heapify`` instead of n heap sifts — the difference
-        between seconds and minutes when ``bench_scale`` launches 10⁵
+        between seconds and minutes when an experiment launches 10⁵
         join timers at once."""
         now = self._now
         batch = []

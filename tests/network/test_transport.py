@@ -51,10 +51,12 @@ class TestTransport:
         assert b.received == [("ping", 2.0)]
         assert a.received == [("pong", 4.0)]
 
-    def test_unknown_destination_raises(self):
+    def test_unknown_destination_is_dropped(self):
         sim, transport, a, b = make_pair()
-        with pytest.raises(UnknownDestinationError):
-            transport.send(SPACE.from_string("2222"), Ping(a.node_id))
+        assert not transport.send(SPACE.from_string("2222"), Ping(a.node_id))
+        sim.run()
+        assert transport.stats.total_dropped == 1
+        assert transport.stats.count("Ping") == 0
 
     def test_duplicate_registration_rejected(self):
         sim, transport, a, b = make_pair()
@@ -100,25 +102,26 @@ class TestTransport:
 
 
 class TestLossySend:
-    """``send_lossy`` returns whether the message was dispatched."""
+    """``send`` returns whether the message was dispatched: a dead
+    destination or the drop filter drops it."""
 
     def test_live_destination_is_dispatched(self):
         sim, transport, a, b = make_pair()
-        assert transport.send_lossy(b.node_id, Ping(a.node_id)) is True
+        assert transport.send(b.node_id, Ping(a.node_id)) is True
         sim.run()
         assert b.received == [("ping", 2.0)]
 
     def test_dead_destination_is_dropped(self):
         sim, transport, a, b = make_pair()
         dead = SPACE.from_string("3333")
-        assert transport.send_lossy(dead, Ping(a.node_id)) is False
+        assert transport.send(dead, Ping(a.node_id)) is False
         assert transport.stats.total_dropped == 1
         assert transport.stats.total_messages == 0
 
     def test_filtered_message_is_not_reported_sent(self):
         sim, transport, a, b = make_pair()
         transport.drop_filter = lambda message, dst: True
-        assert transport.send_lossy(b.node_id, Ping(a.node_id)) is False
+        assert transport.send(b.node_id, Ping(a.node_id)) is False
         sim.run()
         assert b.received == []
         assert transport.stats.total_dropped == 1
@@ -127,8 +130,8 @@ class TestLossySend:
 
 class TestMessageEventSchema:
     """The ``message.*`` attributes a traced in-memory join writes,
-    including a ``drop_filter`` drop and a lossy send to a node that
-    is not registered."""
+    including a ``drop_filter`` drop and a send to a node that is not
+    registered."""
 
     def test_attribute_keys_of_a_traced_join(self):
         import random
@@ -148,7 +151,7 @@ class TestMessageEventSchema:
         transport = net.transport
         transport.drop_filter = lambda message, dst: True
         transport.send(ids[1], JoinWaitMsg(ids[0]))
-        assert not transport.send_lossy(ids[4], JoinWaitMsg(ids[0]))
+        assert not transport.send(ids[4], JoinWaitMsg(ids[0]))
         net.run()
         keys = {}
         for event in obs.tracer.events():

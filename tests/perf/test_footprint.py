@@ -1,8 +1,9 @@
 """Per-node memory footprint of an audited oracle network.
 
-The large-``n`` runs (``benchmarks/bench_scale.py``, the ``sim_scale``
-workload of ``benchmarks/e2e``) are bounded by resident bytes per node,
-so the layout that sets them has a gate in the tier-1 suite: traced
+The large-``n`` runs (the ``sim_scale`` workload of
+``benchmarks/e2e``, ``repro fig15b --full``) are bounded by resident
+bytes per node, so the layout that sets them has a gate in the tier-1
+suite: traced
 bytes per node under an absolute bound, and the structural facts the
 bound rests on -- a member that has not joined, queued, crashed or
 optimized anything owns no container for doing so.

@@ -105,6 +105,17 @@ class TestSingleJoin:
         net.run()
         assert_network_correct(net)
 
+    def test_gateway_that_is_not_a_node_is_rejected(self):
+        """An explicit gateway comes from outside the protocol, so one
+        that is not a current node fails at ``start_join``, before
+        anything is registered or scheduled."""
+        space, ids = make_ids(4, 4, 12, seed=6)
+        net = build_network(space, ids[:10], seed=6)
+        with pytest.raises(ValueError, match="gateway"):
+            net.start_join(ids[10], gateway=ids[11])
+        assert ids[10] not in net.nodes
+        assert net.runtime.pending_events == 0
+
     def test_join_into_single_node_network(self):
         space = make_ids(4, 4, 0)[0]
         seed_node = space.from_string("0123")

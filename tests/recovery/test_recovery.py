@@ -39,7 +39,7 @@ class TestFailureInjection:
         from repro.recovery.messages import PingMsg
 
         live = next(iter(net.nodes))
-        assert not net.transport.send_lossy(
+        assert not net.transport.send(
             victims[0], PingMsg(live, 0.0)
         )
         assert net.stats.total_dropped == 1

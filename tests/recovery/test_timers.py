@@ -3,6 +3,7 @@ semantics): cancel-before-fire must leave no trace, fire-after-peer-
 death must suspect exactly the dead peer's positions."""
 
 from repro.recovery import fail_nodes
+from repro.recovery.messages import PingMsg
 from tests.conftest import MAX_EVENTS, build_network, make_ids
 
 
@@ -60,14 +61,17 @@ class TestCancelBeforeFire:
 def _sweep(net, node, monkeypatch):
     """Start ``node``'s detection sweep; returns ``(expected, pinged,
     ping_sends, drops)``: every distinct forward and reverse neighbor,
-    the destinations handed to ``send_lossy``, and by how much the
+    the destinations handed ``PingMsg`` probes, and by how much the
     ``PingMsg`` sent count and the dropped total rose."""
     pinged = []
-    send_lossy = net.transport.send_lossy
-    monkeypatch.setattr(
-        net.transport, "send_lossy",
-        lambda dst, msg: pinged.append(dst) or send_lossy(dst, msg),
-    )
+    send = net.transport.send
+
+    def recording_send(dst, msg):
+        if isinstance(msg, PingMsg):
+            pinged.append(dst)
+        return send(dst, msg)
+
+    monkeypatch.setattr(net.transport, "send", recording_send)
     stats = net.stats
     pings, dropped = stats.count("PingMsg"), stats.total_dropped
     node.begin_failure_detection(timeout=10_000.0)

@@ -1,7 +1,9 @@
 """AsyncioRuntime specifics; contract conformance lives in
 ``test_interface.py`` (shared with the virtual-time adapter)."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -69,6 +71,38 @@ class TestDispatchAtomicity:
             runtime.run()
             assert ran == []
             assert handles["victim"].cancelled
+            assert runtime.quiesced()
+
+
+class _Holder:
+    """Holds its own timer, which carries it as the payload."""
+
+    timer = None
+
+    def on_timer(self) -> None:
+        pass
+
+
+class TestCancelReleases:
+    def test_cancelled_timer_releases_its_payload(self):
+        """A cancelled timer keeps neither its action nor its payload,
+        so a payload that holds the timer is freed by reference
+        counting once the caller drops it, not by the collector."""
+        with AsyncioRuntime(time_scale=FAST) as runtime:
+            holder = _Holder()
+            holder.timer = runtime.schedule(
+                100.0, _Holder.on_timer, holder
+            )
+            alive = weakref.ref(holder)
+            holder.timer.cancel()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                del holder
+                assert alive() is None
+            finally:
+                if enabled:
+                    gc.enable()
             assert runtime.quiesced()
 
 
