@@ -32,9 +32,9 @@ Differences from the in-memory transport, all forced by real networks:
   silent kernel truncation.
 
 Handler atomicity is preserved: datagram callbacks never invoke
-protocol handlers directly; they schedule delivery through the
-:class:`~repro.runtime.realtime.AsyncioRuntime` mailbox, serialized
-with every timer the protocol arms.
+protocol handlers directly; they schedule delivery on the
+:class:`~repro.runtime.realtime.AsyncioRuntime`'s event queue,
+serialized with every timer the protocol arms.
 
 With a live :class:`~repro.obs.tracer.Tracer` the transport writes
 the in-memory transport's trace (:class:`~repro.network.transport.
@@ -167,7 +167,7 @@ class DatagramTransport(TransportBase):
     """Reliable protocol messaging over one UDP socket.
 
     ``runtime`` must be an :class:`AsyncioRuntime`: the socket endpoint
-    lives on its private loop and deliveries drain through its mailbox.
+    lives on its private loop and deliveries go through its event queue.
     ``metrics``, when given, belongs to this transport alone: its
     ``net_*`` readings are this transport's counters.
     """
@@ -314,8 +314,8 @@ class DatagramTransport(TransportBase):
             self._trace_send(dst, message)
         if dst == self._local_id:
             # Self-delivery short-circuits the socket but still goes
-            # through the mailbox for handler atomicity.
-            self.runtime.schedule(0.0, self._deliver, message)
+            # through the event queue for handler atomicity.
+            self.runtime.schedule_fire(0.0, self._deliver, message)
             return True
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -408,7 +408,9 @@ class DatagramTransport(TransportBase):
             if delay <= 0.0:
                 self._endpoint.sendto(data, addr)
             else:
-                self.runtime.schedule(delay, self._sendto_later, (data, addr))
+                self.runtime.schedule_fire(
+                    delay, self._sendto_later, (data, addr)
+                )
 
     def _sendto_later(self, datagram: Tuple[bytes, Address]) -> None:
         if self._endpoint is not None:
@@ -440,7 +442,7 @@ class DatagramTransport(TransportBase):
             if addr:
                 self.add_peer(dst, (addr[0], addr[1]))
             else:
-                self.runtime.schedule(
+                self.runtime.schedule_fire(
                     RESOLVE_RETRY_DELAY, self._resolve, (dst, attempt + 1)
                 )
 
@@ -539,7 +541,7 @@ class DatagramTransport(TransportBase):
         if len(seen) > DEDUP_WINDOW:
             for old in sorted(seen)[: DEDUP_WINDOW // 2]:
                 seen.discard(old)
-        self.runtime.schedule(0.0, self._deliver, message)
+        self.runtime.schedule_fire(0.0, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         node = self._node

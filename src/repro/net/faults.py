@@ -31,15 +31,12 @@ class FaultPlan:
     ``drop_first`` maps message type names to a number of initial
     occurrences to drop deterministically, *before* the probabilistic
     rules apply.  ``reorder_delay`` is the extra protocol-time delay a
-    reordered datagram is held for.  ``latency`` is a deterministic
-    base delay (protocol units) added to *every* transmission --
-    loopback sockets deliver in microseconds, so emulating a LAN or
-    WAN one-way delay is a fault-injection concern like the rest.
+    reordered datagram is held for.
     """
 
     __slots__ = (
-        "loss", "duplicate", "reorder", "reorder_delay", "latency",
-        "seed", "drop_first",
+        "loss", "duplicate", "reorder", "reorder_delay", "seed",
+        "drop_first",
     )
 
     def __init__(
@@ -48,7 +45,6 @@ class FaultPlan:
         duplicate: float = 0.0,
         reorder: float = 0.0,
         reorder_delay: float = 20.0,
-        latency: float = 0.0,
         seed: int = 0,
         drop_first: Optional[Dict[str, int]] = None,
     ):
@@ -56,21 +52,17 @@ class FaultPlan:
                            ("reorder", reorder)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} rate must be in [0, 1]: {rate}")
-        if latency < 0.0:
-            raise ValueError(f"latency must be >= 0: {latency}")
         self.loss = loss
         self.duplicate = duplicate
         self.reorder = reorder
         self.reorder_delay = reorder_delay
-        self.latency = latency
         self.seed = seed
         self.drop_first = dict(drop_first) if drop_first else {}
 
     @property
     def active(self) -> bool:
         return bool(
-            self.loss or self.duplicate or self.reorder
-            or self.latency or self.drop_first
+            self.loss or self.duplicate or self.reorder or self.drop_first
         )
 
 
@@ -109,10 +101,10 @@ class FaultInjector:
         if plan.loss and rng.random() < plan.loss:
             self.dropped += 1
             return []
-        delay = plan.latency
+        delay = 0.0
         if plan.reorder and rng.random() < plan.reorder:
             self.reordered += 1
-            delay += plan.reorder_delay * (0.5 + rng.random())
+            delay = plan.reorder_delay * (0.5 + rng.random())
         sends = [delay]
         if plan.duplicate and rng.random() < plan.duplicate:
             self.duplicated += 1

@@ -178,12 +178,9 @@ class Transport(TransportBase):
         tracer: Optional[Tracer] = None,
     ):
         super().__init__(runtime, stats, tracer)
-        # Deliveries are never cancelled, so prefer the runtime's
-        # fire-and-forget path (no per-message Event handle); runtimes
-        # without one (realtime/asyncio) fall back to plain schedule.
-        self._schedule_fire = getattr(
-            runtime, "schedule_fire", runtime.schedule
-        )
+        # Deliveries are never cancelled: the runtime's fire-and-forget
+        # path, bound once (no per-message handle).
+        self._schedule_fire = runtime.schedule_fire
         self.latency_model = latency_model
         # Bound once: stats is never swapped after construction, and
         # on_send runs once per message in the whole simulation.

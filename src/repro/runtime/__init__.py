@@ -3,19 +3,19 @@
 The protocol stack (:mod:`repro.protocol`, :mod:`repro.network`)
 never touches an event loop, a socket, or a clock directly; everything
 it needs from its execution environment is the small contract defined
-in :mod:`repro.runtime.interface` (a Clock, Timers, and -- for
-real-time runtimes -- a Mailbox).  Two runtimes implement that
-contract:
+in :mod:`repro.runtime.interface` (a Clock and Timers).  Two runtimes
+implement that contract, over one kind of event queue
+(:class:`~repro.sim.events.EventQueue`, ``(time, seq)`` order):
 
 * :class:`~repro.sim.scheduler.Simulator` -- the discrete-event
   simulator itself, which satisfies the runtime interface as it
   stands (``name = "sim"``).  Deterministic, virtual-time, the
   substrate of every experiment and golden trace.
 * :class:`~repro.runtime.realtime.AsyncioRuntime` -- wall-clock
-  execution on an asyncio event loop: timers are ``call_later``
-  deadlines, deliveries drain through a FIFO :class:`Mailbox` in a
-  single dispatcher task, and ``run()`` blocks until the network
-  quiesces (or a wall-clock budget expires).
+  execution on an asyncio event loop: one dispatcher task fires the
+  queue's due entries an action at a time, sleeping until the next
+  deadline, and ``run()`` blocks until the network quiesces (or a
+  wall-clock budget expires).
 
 The adapters are imported lazily by :func:`create_runtime` so that
 importing :mod:`repro.runtime` (as the protocol layer does for type
@@ -24,7 +24,6 @@ contracts) never pulls in :mod:`repro.sim` or :mod:`asyncio`.
 
 from repro.runtime.interface import (
     Clock,
-    Mailbox,
     Runtime,
     SchedulingError,
     TimerHandle,
@@ -62,7 +61,6 @@ def create_runtime(kind: str = "sim", **options) -> Runtime:
 
 __all__ = [
     "Clock",
-    "Mailbox",
     "RUNTIME_KINDS",
     "Runtime",
     "SchedulingError",

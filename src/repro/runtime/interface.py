@@ -8,7 +8,8 @@ execution environment, and nothing more:
   wall-clock time under asyncio);
 * **Timers** -- ``schedule(delay, action, payload=None)`` returning a
   cancelable :class:`TimerHandle` (``schedule_at`` for an absolute
-  deadline);
+  deadline), ``schedule_fire`` for a delivery that is never cancelled
+  (no handle) and ``schedule_many`` for a batch;
 * a drivable loop -- ``run()`` executes due actions until the system
   quiesces, ``quiesced()`` reports whether anything is still pending,
   and ``add_event_listener`` exposes the per-action observability hook
@@ -17,8 +18,9 @@ execution environment, and nothing more:
 
 Runtimes guarantee **handler atomicity**: scheduled actions run one at
 a time, never concurrently, so protocol handlers need no locking.
-Real-time runtimes achieve this by draining a FIFO :class:`Mailbox`
-from a single dispatcher task.
+Both runtimes fire them from one ``(time, seq)`` event queue in that
+order, ties in scheduling order; the real-time runtime drives the
+queue from a single dispatcher task.
 
 The contract is expressed as :class:`typing.Protocol` types so the
 existing simulator satisfies it structurally -- no inheritance, no
@@ -27,14 +29,14 @@ existing simulator satisfies it structurally -- no inheritance, no
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Any,
     Callable,
-    Deque,
-    Iterator,
+    Iterable,
+    List,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
@@ -94,6 +96,23 @@ class Timers(Protocol):
     ) -> TimerHandle:
         """Run ``action`` at absolute time ``time``."""
 
+    def schedule_fire(
+        self,
+        delay: float,
+        action: Callable[..., None],
+        payload: Any = None,
+    ) -> None:
+        """:meth:`schedule` for an action that is never cancelled: the
+        same firing order, no handle."""
+
+    def schedule_many(
+        self,
+        entries: Iterable[Tuple[float, Callable[..., None], Any]],
+    ) -> List[TimerHandle]:
+        """Schedule ``(delay, action, payload)`` entries in the order
+        given, against one reading of the clock; returns their
+        handles."""
+
 
 @runtime_checkable
 class Runtime(Clock, Timers, Protocol):
@@ -107,6 +126,14 @@ class Runtime(Clock, Timers, Protocol):
 
     #: Short tag identifying the adapter ("sim", "asyncio").
     name: str
+
+    @property
+    def events_fired(self) -> int:
+        """Actions executed so far, over every run."""
+
+    @property
+    def pending_events(self) -> int:
+        """Actions scheduled, neither cancelled nor executed yet."""
 
     def run(
         self,
@@ -126,43 +153,8 @@ class Runtime(Clock, Timers, Protocol):
         executed action (observability hook)."""
 
 
-class Mailbox:
-    """A FIFO of due-but-not-yet-executed deliveries.
-
-    Real-time runtimes decouple *when a timer fires* from *when its
-    action runs*: expiry callbacks only append to the mailbox, and a
-    single dispatcher drains it in arrival order.  That serialization
-    is what gives real-time runtimes the same handler-atomicity
-    guarantee the discrete-event simulator provides by construction.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: Deque[Any] = deque()
-
-    def put(self, item: Any) -> None:
-        """Append ``item`` to the tail of the queue."""
-        self._items.append(item)
-
-    def pop(self) -> Any:
-        """Remove and return the head of the queue (raises IndexError
-        when empty)."""
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
-
-
 __all__ = [
     "Clock",
-    "Mailbox",
     "Runtime",
     "SchedulingError",
     "TimerHandle",

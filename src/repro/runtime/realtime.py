@@ -1,10 +1,11 @@
 """Real-time runtime: wall-clock execution on an asyncio event loop.
 
 The identical protocol core that runs under the virtual-time simulator
-runs here over real time: ``schedule`` becomes ``loop.call_later``,
-``now`` reads the loop's monotonic clock, and ``run()`` blocks the
-calling thread until the network quiesces (no timer pending and the
-mailbox drained) or a wall-clock budget expires.
+runs here over real time.  Timers live in the simulator's own
+:class:`~repro.sim.events.EventQueue`, keyed by ``(deadline, seq)`` in
+protocol time units; ``now`` reads the monotonic clock the loop reads,
+and ``run()`` blocks the calling thread until the network quiesces
+(no timer pending) or a wall-clock budget expires.
 
 Design notes:
 
@@ -15,12 +16,14 @@ Design notes:
   behave like a 1-100 ms network.  ``now`` converts back, so protocol
   timestamps (``join_began_at``, trace times) stay in protocol units
   on both runtimes.
-* **Handler atomicity via the Mailbox.**  Expired timers do not run
-  their actions inline: they append to a FIFO
-  :class:`~repro.runtime.interface.Mailbox`, and a single dispatcher
-  coroutine (the "in-process task" of the runtime) drains it, one
-  action at a time.  Protocol handlers therefore never interleave --
-  the same guarantee the discrete-event loop gives -- and the
+* **One dispatcher, one order.**  A single coroutine runs in passes.
+  A pass fires, one at a time and in ``(deadline, seq)`` order, the
+  entries that were due when it began -- the simulator's order, ties
+  included -- then yields to the loop once so socket reads interleave.
+  With nothing due it sleeps until the head deadline (the runtime's
+  one loop timer), a :meth:`AsyncioRuntime.kick` or a schedule from a
+  loop callback.  Protocol handlers therefore never interleave -- the
+  same guarantee the discrete-event loop gives -- and the
   ``add_event_listener`` hook fires after each action exactly like the
   simulator's, so LiveAuditor attaches unchanged.
 * **No past scheduling.**  Real time cannot rewind, so ``schedule_at``
@@ -38,63 +41,16 @@ in-process through the in-memory transport, interchangeably.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Optional
+import sys
+from heapq import heappop, heappush
+from time import monotonic
+from typing import Any, Callable, List, Optional
 
-from repro.runtime.interface import (
-    Mailbox,
-    SchedulingError,
-    WallClockBudgetExceeded,
-)
-
-_PENDING, _CANCELLED, _DONE = 0, 1, 2
+from repro.runtime.interface import SchedulingError, WallClockBudgetExceeded
+from repro.sim.events import Event, QueueRuntime
 
 
-class _ScheduledAction:
-    """One scheduled callback: deadline, payload, and cancel state."""
-
-    __slots__ = ("runtime", "action", "payload", "state", "handle")
-
-    def __init__(
-        self,
-        runtime: "AsyncioRuntime",
-        action: Callable[..., None],
-        payload: Any,
-    ):
-        self.runtime = runtime
-        self.action = action
-        self.payload = payload
-        self.state = _PENDING
-        #: The loop's call_later handle (None once expired).
-        self.handle: Optional[asyncio.TimerHandle] = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self.state == _CANCELLED
-
-    def cancel(self) -> None:
-        """Cancel before the action runs (idempotent; no-op after).
-
-        The action and payload are dropped with it, so a payload that
-        refers back to whatever holds this timer builds no cycle that
-        outlives the cancel (the dispatcher skips cancelled items)."""
-        if self.state != _PENDING:
-            return
-        self.state = _CANCELLED
-        self.action = self.payload = None
-        if self.handle is not None:
-            self.handle.cancel()
-        self.runtime._outstanding -= 1
-
-    def fire(self) -> None:
-        """Execute the action (dispatcher only)."""
-        self.state = _DONE
-        if self.payload is None:
-            self.action()
-        else:
-            self.action(self.payload)
-
-
-class AsyncioRuntime:
+class AsyncioRuntime(QueueRuntime):
     """Wall-clock runtime over a private asyncio event loop.
 
     Satisfies the :class:`~repro.runtime.interface.Runtime` contract.
@@ -109,24 +65,22 @@ class AsyncioRuntime:
     def __init__(self, time_scale: float = 0.001):
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive: {time_scale}")
+        super().__init__()
         self.time_scale = time_scale
         self._loop = asyncio.new_event_loop()
-        self._epoch = self._loop.time()
-        self._mailbox = Mailbox()
-        self._outstanding = 0  # scheduled, neither cancelled nor run
-        self._events_fired = 0
-        self._running = False
-        self._wakeup: Optional[asyncio.Event] = None
-        #: Observability hook, same shape as the simulator's: called as
-        #: ``cb(now, pending)`` after each executed action.
-        self.on_event_fired: Optional[Callable[[float, int], None]] = None
+        # The loop's clock is ``time.monotonic``; reading it directly
+        # keeps ``now`` off the loop's Python-level ``time()``.
+        self._epoch = monotonic()
+        self._closed = False
+        #: The sleeping dispatcher's wake-up (None while it runs).
+        self._waiter: Optional[asyncio.Future] = None
 
     # -- Clock ----------------------------------------------------------
 
     @property
     def now(self) -> float:
         """Wall-clock time since construction, in protocol units."""
-        return (self._loop.time() - self._epoch) / self.time_scale
+        return (monotonic() - self._epoch) / self.time_scale
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
@@ -137,16 +91,17 @@ class AsyncioRuntime:
         return self._loop
 
     def kick(self) -> None:
-        """Wake the dispatcher so it re-examines quiescence.
+        """Wake a sleeping dispatcher so it re-examines the queue.
 
         Loop callbacks that retire pending work *outside* a scheduled
         action -- e.g. a datagram handler cancelling a retransmission
         timer when an ack lands -- must call this, otherwise a ``run()``
-        blocked on "outstanding > 0, mailbox empty" would sleep through
-        the transition to quiescence.
+        asleep until the cancelled deadline would sleep through the
+        transition to quiescence.  Scheduling wakes it by itself.
         """
-        if self._wakeup is not None:
-            self._wakeup.set()
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     # -- Timers ---------------------------------------------------------
 
@@ -155,62 +110,66 @@ class AsyncioRuntime:
         delay: float,
         action: Callable[..., None],
         payload: Any = None,
-    ) -> _ScheduledAction:
+    ) -> Event:
         """Run ``action`` ``delay`` protocol-time units from now."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule in the past: {delay}")
-        item = _ScheduledAction(self, action, payload)
-        item.handle = self._loop.call_later(
-            delay * self.time_scale, self._expire, item
-        )
-        self._outstanding += 1
-        return item
+        return self._push(self.now + delay, action, payload)
 
     def schedule_at(
         self,
         time: float,
         action: Callable[..., None],
         payload: Any = None,
-    ) -> _ScheduledAction:
+    ) -> Event:
         """Run ``action`` at absolute protocol time ``time`` (clamped
         to "immediately" when the deadline has already passed)."""
-        return self.schedule(max(0.0, time - self.now), action, payload)
+        now = self.now
+        return self._push(time if time > now else now, action, payload)
 
-    def _expire(self, item: _ScheduledAction) -> None:
-        """call_later callback: move the item into the mailbox."""
-        item.handle = None
-        if item.state != _PENDING:
-            return
-        self._mailbox.put(item)
-        if self._wakeup is not None:
-            self._wakeup.set()
-
-    # -- observability --------------------------------------------------
-
-    @property
-    def events_fired(self) -> int:
-        return self._events_fired
-
-    @property
-    def pending_events(self) -> int:
-        """Actions scheduled (or due in the mailbox) but not yet run."""
-        return self._outstanding
-
-    def add_event_listener(
-        self, listener: Callable[[float, int], None]
+    def schedule_fire(
+        self,
+        delay: float,
+        action: Callable[..., None],
+        payload: Any = None,
     ) -> None:
-        """Chain ``listener`` onto :attr:`on_event_fired` (the same
-        contract as :meth:`repro.sim.scheduler.Simulator.add_event_listener`)."""
-        previous = self.on_event_fired
-        if previous is None:
-            self.on_event_fired = listener
-            return
+        """:meth:`schedule` with no cancellation handle: the entry is a
+        bare ``(deadline, seq, action, payload)`` tuple, as in
+        :meth:`repro.sim.scheduler.Simulator.schedule_fire`."""
+        if delay < 0:
+            raise SchedulingError(f"cannot schedule in the past: {delay}")
+        if self._closed:
+            raise RuntimeError("AsyncioRuntime is closed")
+        heappush(
+            self._heap, (self.now + delay, next(self._seq), action, payload)
+        )
+        if self._waiter is not None:
+            self.kick()
 
-        def chained(now: float, pending: int) -> None:
-            previous(now, pending)
-            listener(now, pending)
+    def schedule_many(self, entries) -> List[Event]:
+        """Bulk-schedule ``(delay, action, payload)`` entries against
+        one reading of ``now``, in order.  Like :meth:`schedule_at`, a
+        negative delay (a deadline already passed) clamps to now."""
+        if self._closed:
+            raise RuntimeError("AsyncioRuntime is closed")
+        now = self.now
+        events = self._queue.push_many(
+            (now + delay if delay > 0 else now, action, payload)
+            for delay, action, payload in entries
+        )
+        if self._waiter is not None:
+            self.kick()
+        return events
 
-        self.on_event_fired = chained
+    def _push(
+        self, time: float, action: Callable[..., None], payload: Any
+    ) -> Event:
+        if self._closed:
+            raise RuntimeError("AsyncioRuntime is closed")
+        event = self._queue.push(time, action, payload)
+        if self._waiter is not None:
+            self.kick()
+        return event
 
     # -- run loop -------------------------------------------------------
 
@@ -233,96 +192,89 @@ class AsyncioRuntime:
         self._running = True
         try:
             return self._loop.run_until_complete(
-                self._drain(until, max_events, wall_budget)
+                self._dispatch(until, max_events, wall_budget)
             )
         finally:
             self._running = False
 
-    async def _drain(
+    async def _dispatch(
         self,
         until: Optional[float],
         max_events: Optional[int],
         wall_budget: Optional[float],
     ) -> int:
         loop = self._loop
-        self._wakeup = asyncio.Event()
-        budget_deadline = (
-            loop.time() + wall_budget if wall_budget is not None else None
-        )
+        queue = self._queue
+        heap = queue.heap
+        retire = queue.retire
+        budget = None if wall_budget is None else monotonic() + wall_budget
+        limit = sys.maxsize if max_events is None else max_events
         fired = 0
-        try:
-            while True:
-                while self._mailbox:
-                    if max_events is not None and fired >= max_events:
-                        return fired
-                    if until is not None and self.now > until:
-                        return fired
-                    item = self._mailbox.pop()
-                    if item.state != _PENDING:
-                        continue
-                    self._outstanding -= 1
-                    item.fire()
-                    fired += 1
-                    self._events_fired += 1
-                    listener = self.on_event_fired
-                    if listener is not None:
-                        listener(self.now, self._outstanding)
-                    if (
-                        budget_deadline is not None
-                        and loop.time() > budget_deadline
-                    ):
-                        self._budget_exceeded(wall_budget)
-                if self._outstanding == 0:
+        while True:
+            # One pass: what was due when it began, in (deadline, seq)
+            # order; what a handler schedules now waits for the next.
+            due = self.now
+            if until is not None and until < due:
+                due = until
+            while heap and heap[0][0] <= due:
+                if fired >= limit:
                     return fired
-                if max_events is not None and fired >= max_events:
-                    return fired
-                timeout = None
-                if budget_deadline is not None:
-                    timeout = budget_deadline - loop.time()
-                    if timeout <= 0:
-                        self._budget_exceeded(wall_budget)
-                if until is not None:
-                    to_until = (until - self.now) * self.time_scale
-                    if to_until <= 0:
-                        return fired
-                    timeout = (
-                        to_until if timeout is None
-                        else min(timeout, to_until)
-                    )
-                self._wakeup.clear()
-                try:
-                    if timeout is None:
-                        await self._wakeup.wait()
+                entry = heappop(heap)
+                if len(entry) == 4:
+                    if entry[3] is None:
+                        entry[2]()
                     else:
-                        await asyncio.wait_for(
-                            self._wakeup.wait(), timeout
-                        )
-                except asyncio.TimeoutError:
-                    if (
-                        budget_deadline is not None
-                        and loop.time() >= budget_deadline
-                    ):
-                        self._budget_exceeded(wall_budget)
-                    # otherwise the `until` bound elapsed; the loop
-                    # re-checks and returns on the next iteration
-        finally:
-            self._wakeup = None
+                        entry[2](entry[3])
+                elif retire(entry[2]):
+                    entry[2].fire()
+                else:
+                    continue
+                fired += 1
+                self._events_fired += 1
+                listener = self.on_event_fired
+                if listener is not None:
+                    listener(self.now, len(queue))
+                if budget is not None and monotonic() > budget:
+                    self._budget_exceeded(wall_budget)
+            head = queue.peek_time()
+            if head is None or fired >= limit:
+                return fired
+            now = self.now
+            if until is not None and head > until:
+                if now >= until:
+                    return fired
+                head = until
+            if head <= now:
+                await asyncio.sleep(0)  # the pass's one yield
+                continue
+            # Nothing due: sleep until the head deadline, a kick() or
+            # a schedule from a loop callback (which kicks).
+            when = self._epoch + head * self.time_scale
+            if budget is not None and budget < when:
+                when = budget
+            waiter = self._waiter = loop.create_future()
+            wake = loop.call_at(when, self.kick)
+            try:
+                await waiter
+            finally:
+                self._waiter = None
+                wake.cancel()
+            if budget is not None and monotonic() >= budget:
+                self._budget_exceeded(wall_budget)
 
     def _budget_exceeded(self, wall_budget: Optional[float]) -> None:
         raise WallClockBudgetExceeded(
             f"network did not quiesce within {wall_budget}s of wall "
-            f"clock ({self._outstanding} actions still pending at "
+            f"clock ({self.pending_events} actions still pending at "
             f"protocol time {self.now:.1f})"
         )
-
-    def quiesced(self) -> bool:
-        """True when no scheduled action remains pending."""
-        return self._outstanding == 0
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Release the private event loop."""
+        """Release the private event loop; scheduling afterwards
+        raises :class:`RuntimeError`."""
+        self._closed = True
         if not self._loop.is_closed():
             self._loop.close()
 

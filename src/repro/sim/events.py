@@ -28,6 +28,12 @@ both invisible to pop order:
   retry timers forever (every message send in the wire tier) leaves
   tombstones in the heap.  When dead entries outnumber live ones the
   queue rebuilds itself, so memory tracks the *live* event count.
+
+Both runtimes drive one of these queues: the simulator in virtual time
+(:class:`repro.sim.scheduler.Simulator`), the asyncio runtime in
+scaled wall-clock time (:class:`repro.runtime.realtime.AsyncioRuntime`,
+whose wire tier arms and cancels a retry timer per datagram).  What
+the two share around the queue is :class:`QueueRuntime`.
 """
 
 from __future__ import annotations
@@ -81,6 +87,9 @@ class Event:
         if self.cancelled or self.queue is _DONE:
             return
         self.cancelled = True
+        # Dropped with the cancel, so a payload that refers back to
+        # whatever holds this event builds no cycle that outlives it.
+        self.action = self.payload = None
         queue = self.queue
         if queue is not None:
             queue.note_cancelled()
@@ -276,3 +285,60 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None
+
+
+class QueueRuntime:
+    """What a runtime built on one :class:`EventQueue` keeps besides
+    its clock: the queue, the fired count and the per-event listener
+    hook (the :class:`~repro.runtime.interface.Runtime` readings)."""
+
+    def __init__(self) -> None:
+        self._set_queue(EventQueue())
+        self._events_fired = 0
+        self._running = False
+        #: Optional observability hook called as ``cb(now, pending)``
+        #: after each event fires (see repro.obs.audit.LiveAuditor).
+        self.on_event_fired: Optional[Callable[[float, int], None]] = None
+
+    def _set_queue(self, queue: EventQueue) -> None:
+        self._queue = queue
+        # The queue's heap and sequence counter, for inline pushes
+        # (both live as long as the queue does).
+        self._heap = queue.heap
+        self._seq = queue.seq
+
+    def add_event_listener(
+        self, listener: Callable[[float, int], None]
+    ) -> None:
+        """Chain ``listener`` onto :attr:`on_event_fired`.
+
+        The existing hook (if any) keeps firing first; this lets several
+        observers -- e.g. a :class:`~repro.obs.audit.LiveAuditor` and a
+        test's probe -- share the single callback slot without knowing
+        about each other.
+        """
+        previous = self.on_event_fired
+        if previous is None:
+            self.on_event_fired = listener
+            return
+
+        def chained(now: float, pending: int) -> None:
+            previous(now, pending)
+            listener(now, pending)
+
+        self.on_event_fired = chained
+
+    @property
+    def events_fired(self) -> int:
+        """Events fired so far, over every run (current while a
+        listener reads it)."""
+        return self._events_fired
+
+    @property
+    def pending_events(self) -> int:
+        """Events scheduled, neither cancelled nor fired yet."""
+        return len(self._queue)
+
+    def quiesced(self) -> bool:
+        """True when no live events remain."""
+        return not self._queue

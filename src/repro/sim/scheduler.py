@@ -8,7 +8,7 @@ from typing import Any, Callable, Optional
 
 from repro.runtime.collector import collector_paused
 from repro.runtime.interface import SchedulingError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, QueueRuntime
 
 
 class SimulationError(SchedulingError):
@@ -20,7 +20,7 @@ class SimulationError(SchedulingError):
     """
 
 
-class Simulator:
+class Simulator(QueueRuntime):
     """A discrete event simulator with a floating-point virtual clock.
 
     Typical use::
@@ -38,54 +38,13 @@ class Simulator:
     name = "sim"
 
     def __init__(self) -> None:
-        self._set_queue(EventQueue())
+        super().__init__()
         self._now = 0.0
-        self._events_fired = 0
-        self._running = False
-        #: Optional observability hook called as ``cb(now, pending)``
-        #: after each event fires (see repro.obs.audit.LiveAuditor).
-        self.on_event_fired: Optional[Callable[[float, int], None]] = None
-
-    def _set_queue(self, queue: EventQueue) -> None:
-        self._queue = queue
-        # The queue's heap and sequence counter, for the inline push
-        # in schedule_fire (both live as long as the queue does).
-        self._heap = queue.heap
-        self._seq = queue.seq
 
     @property
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    def add_event_listener(
-        self, listener: Callable[[float, int], None]
-    ) -> None:
-        """Chain ``listener`` onto :attr:`on_event_fired`.
-
-        The existing hook (if any) keeps firing first; this lets several
-        observers -- e.g. a :class:`~repro.obs.audit.LiveAuditor` and a
-        test's probe -- share the single callback slot without knowing
-        about each other.
-        """
-        previous = self.on_event_fired
-        if previous is None:
-            self.on_event_fired = listener
-            return
-
-        def chained(now: float, pending: int) -> None:
-            previous(now, pending)
-            listener(now, pending)
-
-        self.on_event_fired = chained
-
-    @property
-    def events_fired(self) -> int:
-        return self._events_fired
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
 
     def schedule(
         self,
@@ -181,9 +140,12 @@ class Simulator:
         <repro.sim.events.EventQueue.retire>` first, which skips
         cancelled timers.  The limit and listener checks are local
         tests, so the unbounded, unobserved drain every experiment
-        takes pays a few bytecodes per event for them and no call.
+        takes pays a few bytecodes per event for them and no call; an
+        observed drain publishes :attr:`events_fired` before each
+        listener call, so a listener reads the running count.
         """
         self._running = True
+        before = self._events_fired
         fired = 0
         on_event_fired = self.on_event_fired
         queue = self._queue
@@ -209,9 +171,10 @@ class Simulator:
                     continue
                 fired += 1
                 if on_event_fired is not None:
+                    self._events_fired = before + fired
                     on_event_fired(self._now, len(queue))
         finally:
-            self._events_fired += fired
+            self._events_fired = before + fired
             self._running = False
         if until is not None and self._now < until and not self._queue:
             # Advance the clock to the bound so repeated bounded runs
@@ -224,7 +187,3 @@ class Simulator:
         teardown: pending events are the queue's only references to
         the simulation's nodes)."""
         self._set_queue(EventQueue())
-
-    def quiesced(self) -> bool:
-        """True when no live events remain."""
-        return not self._queue

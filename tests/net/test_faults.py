@@ -16,11 +16,6 @@ class TestFaultPlan:
         assert not FaultPlan().active
         assert FaultPlan(loss=0.1).active
         assert FaultPlan(drop_first={"JoinNotiMsg": 1}).active
-        assert FaultPlan(latency=2.0).active
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan(latency=-1.0)
 
 
 class TestFaultInjector:
@@ -61,19 +56,6 @@ class TestFaultInjector:
         (delay,) = injector.transmissions("PingMsg")
         assert delay > 0.0
         assert injector.reordered == 1
-
-    def test_latency_delays_every_transmission(self):
-        # Deterministic (no RNG draw): LAN/WAN emulation, acks included.
-        injector = FaultInjector(FaultPlan(latency=2.5))
-        assert injector.transmissions("PingMsg") == [2.5]
-        assert injector.transmissions(None) == [2.5]
-        assert injector.dropped == 0
-        # Reorder delay stacks on top of the base latency.
-        stacked = FaultInjector(
-            FaultPlan(latency=2.5, reorder=1.0, reorder_delay=30.0)
-        )
-        (delay,) = stacked.transmissions("PingMsg")
-        assert delay > 2.5
 
     def test_seed_reproducibility(self):
         plan = FaultPlan(loss=0.4, duplicate=0.2, seed=99)

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.runtime import RUNTIME_KINDS, create_runtime
-from repro.runtime.interface import (
-    Mailbox,
-    Runtime,
-    SchedulingError,
-    TimerHandle,
-)
+from repro.runtime.interface import Runtime, SchedulingError, TimerHandle
 
 
 @pytest.fixture(params=RUNTIME_KINDS)
@@ -150,17 +145,39 @@ class TestContract:
         assert runtime.quiesced()
 
 
-class TestMailbox:
-    def test_fifo(self):
-        box = Mailbox()
-        assert not box and len(box) == 0
-        box.put(1)
-        box.put(2)
-        box.put(3)
-        assert list(box) == [1, 2, 3]
-        assert [box.pop(), box.pop(), box.pop()] == [1, 2, 3]
-        assert not box
+    def test_simultaneous_actions_run_in_scheduling_order(self, runtime):
+        """Both runtimes fire one ``(time, seq)`` order: actions given
+        one deadline run in the order they were scheduled."""
+        ran = []
+        deadline = runtime.now + 5.0
+        for index in range(64):
+            runtime.schedule_at(deadline, ran.append, index)
+        runtime.run()
+        assert ran == list(range(64))
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            Mailbox().pop()
+    def test_listener_reads_the_running_count(self, runtime):
+        seen = []
+        runtime.add_event_listener(
+            lambda now, pending: seen.append(runtime.events_fired)
+        )
+        for delay in (1.0, 2.0, 3.0):
+            runtime.schedule(delay, lambda: None)
+        runtime.run()
+        runtime.schedule(1.0, lambda: None)
+        runtime.run()
+        assert seen == [1, 2, 3, 4]
+        assert runtime.events_fired == 4
+
+    def test_fire_and_batch_share_the_queue(self, runtime):
+        ran = []
+        runtime.schedule_fire(50.0, ran.append, "fire")
+        handles = runtime.schedule_many(
+            [(1.0, ran.append, "a"), (1.0, ran.append, "b")]
+        )
+        assert all(isinstance(handle, TimerHandle) for handle in handles)
+        assert runtime.pending_events == 3
+        handles[1].cancel()
+        assert runtime.pending_events == 2
+        assert runtime.run() == 2
+        assert ran == ["a", "fire"]
+        assert runtime.pending_events == 0

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from repro.runtime import RUNTIME_KINDS, create_runtime
 from repro.runtime.interface import WallClockBudgetExceeded
 from repro.runtime.realtime import AsyncioRuntime
 
@@ -61,7 +62,7 @@ class TestScheduleAt:
 
 class TestDispatchAtomicity:
     def test_cancel_between_expiry_and_dispatch(self):
-        """A handler cancelling a timer already moved to the mailbox
+        """A handler cancelling a timer already due in the same pass
         must still win: the dispatcher skips cancelled actions."""
         with AsyncioRuntime(time_scale=FAST) as runtime:
             ran = []
@@ -85,10 +86,12 @@ class _Holder:
 
 class TestCancelReleases:
     def test_cancelled_timer_releases_its_payload(self):
-        """A cancelled timer keeps neither its action nor its payload,
-        so a payload that holds the timer is freed by reference
-        counting once the caller drops it, not by the collector."""
-        with AsyncioRuntime(time_scale=FAST) as runtime:
+        """On both runtimes a cancelled timer keeps neither its action
+        nor its payload, so a payload that holds the timer is freed by
+        reference counting once the caller drops it, not by the
+        collector."""
+        for kind in RUNTIME_KINDS:
+            runtime = create_runtime(kind)
             holder = _Holder()
             holder.timer = runtime.schedule(
                 100.0, _Holder.on_timer, holder
@@ -99,11 +102,13 @@ class TestCancelReleases:
             gc.disable()
             try:
                 del holder
-                assert alive() is None
+                assert alive() is None, kind
             finally:
                 if enabled:
                     gc.enable()
             assert runtime.quiesced()
+            if kind == "asyncio":
+                runtime.close()
 
 
 class TestCounters:
@@ -116,6 +121,29 @@ class TestCounters:
             runtime.run()
             assert runtime.pending_events == 0
             assert runtime.events_fired == 3
+
+
+class TestWake:
+    def test_loop_callback_wakes_the_sleeping_dispatcher(self):
+        """A schedule from a loop callback (a datagram arriving, say)
+        wakes a dispatcher asleep until a far deadline; so does a
+        kick() after a cancel from one."""
+        with AsyncioRuntime(time_scale=FAST) as runtime:
+            ran = []
+            far = runtime.schedule(1e6, ran.append, "far")  # 100 s away
+
+            def arrive() -> None:
+                runtime.schedule_fire(0.0, ran.append, "arrived")
+                runtime.loop.call_later(0.01, settle)
+
+            def settle() -> None:
+                far.cancel()
+                runtime.kick()
+
+            runtime.loop.call_later(0.01, arrive)
+            runtime.run(wall_budget=5.0)
+            assert ran == ["arrived"]
+            assert runtime.quiesced()
 
 
 class TestUntilBound:

@@ -362,6 +362,24 @@ class TestOneEventQueue:
         assert not offenders, offenders
 
 
+class TestOneTimerPath:
+    """Both runtimes order their timers in one
+    :class:`~repro.sim.events.EventQueue`; the asyncio loop holds only
+    the dispatcher's wake-up for the head deadline."""
+
+    LOOP_TIMERS = {"call_later", "call_at", "call_soon"}
+
+    def test_only_the_dispatcher_arms_a_loop_timer(self):
+        uses = [
+            f"{path.relative_to(SRC).as_posix()} {node.attr}"
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and node.attr in self.LOOP_TIMERS
+        ]
+        assert uses == ["repro/runtime/realtime.py call_at"], uses
+
+
 class TestOneBackendKnob:
     """A campaign takes one :class:`repro.exec.ExecutionBackend`; the
     rule that picks it lives in :func:`repro.exec.create_backend`."""
